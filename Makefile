@@ -51,19 +51,26 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParsePlan -fuzztime 10s ./internal/shard/
 	$(GO) test -run '^$$' -fuzz FuzzParseResult -fuzztime 10s ./internal/shard/
 
+# Lanes that select tests by name run through require-pass.sh: `go test
+# -run` passes on an empty match, so the wrapper also fails unless every
+# named test reported PASS.
+REQUIRE_PASS = bash scripts/require-pass.sh
+
 # Crash-consistency torture: re-execs a checkpointing crawl subprocess,
 # kills it at seeded random points (including mid-record), resumes, and
 # asserts the final dataset, leaks and Tables 1/2/4 are byte-identical
 # to an uninterrupted run. -short trims the kill rounds for CI.
 torture:
-	$(GO) test -short -timeout 300s -count=1 -run '^TestTortureCrashConsistency$$' -v .
+	$(REQUIRE_PASS) TestTortureCrashConsistency \
+		$(GO) test -short -timeout 300s -count=1 -run '^TestTortureCrashConsistency$$' -v .
 
 # Sharded torture: same kill machinery, but each victim is a re-execed
 # shard worker of a K-way split. Shards are killed mid-checkpoint-append,
 # resumed until they complete, then the digest-verified merge must be
 # byte-identical to an uninterrupted unsharded run (DESIGN.md §11).
 torture-shard:
-	$(GO) test -short -timeout 300s -count=1 -run '^TestTortureShardedCrashConsistency$$' -v .
+	$(REQUIRE_PASS) TestTortureShardedCrashConsistency \
+		$(GO) test -short -timeout 300s -count=1 -run '^TestTortureShardedCrashConsistency$$' -v .
 
 # The gate every change must pass.
 check: fmt vet lint build race

@@ -6,17 +6,20 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"piileak"
 )
 
 // TestCLIToolsPipeline builds every command and drives the documented
-// pipeline end to end: crawl → detect/track/pcap, plus the standalone
-// audit tools.
+// pipeline end to end: crawl → detect/track/pcap, then piirepro's
+// experiments, including the §6 policy dump and the §7 countermeasure
+// inputs (custom filter lists).
 func TestCLIToolsPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
 	dir := t.TempDir()
-	tools := []string{"piicrawl", "piidetect", "piitrack", "piipolicy", "piiguard", "piiblock", "piipcap", "piirepro"}
+	tools := []string{"piicrawl", "piidetect", "piitrack", "piipcap", "piirepro"}
 	for _, tool := range tools {
 		bin := filepath.Join(dir, tool)
 		out, err := exec.Command("go", "build", "-o", bin, "./cmd/"+tool).CombinedOutput()
@@ -60,19 +63,43 @@ func TestCLIToolsPipeline(t *testing.T) {
 		t.Fatalf("pcap not written: %v", err)
 	}
 
-	policy := run("piipolicy", "-small")
-	if !strings.Contains(policy, "Table 3") {
-		t.Errorf("piipolicy output unexpected:\n%s", policy)
+	guard := run("piirepro", "-small", "-experiments", "E9")
+	for _, want := range []string{"Brave", "Firefox", "still leaks to"} {
+		if !strings.Contains(guard, want) {
+			t.Errorf("piirepro E9 output lacks %q:\n%s", want, guard)
+		}
 	}
 
-	guard := run("piiguard", "-small")
-	if !strings.Contains(guard, "Brave") || !strings.Contains(guard, "Firefox") {
-		t.Errorf("piiguard output unexpected:\n%s", guard)
+	// A one-rule EasyList replaces the generated corpus, so Table 4
+	// (E10's first block) must change.
+	table4 := func(out string) string {
+		t.Helper()
+		i := strings.Index(out, "E10 — paper vs measured")
+		if !strings.Contains(out, "EasyPrivacy") || i < 0 {
+			t.Fatalf("piirepro E10 output unexpected:\n%s", out)
+		}
+		return out[:i]
+	}
+	list := filepath.Join(dir, "easylist.txt")
+	if err := os.WriteFile(list, []byte("||facebook.com^\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stock := table4(run("piirepro", "-small", "-experiments", "E10"))
+	custom := table4(run("piirepro", "-small", "-experiments", "E10", "-easylist", list))
+	if stock == custom {
+		t.Errorf("-easylist did not change Table 4:\n%s", custom)
 	}
 
-	block := run("piiblock", "-small")
-	if !strings.Contains(block, "EasyPrivacy") {
-		t.Errorf("piiblock output unexpected:\n%s", block)
+	study, err := piileak.NewStudy(piileak.SmallConfig(2021))
+	if err != nil {
+		t.Fatal(err)
+	}
+	domain := study.Eco.Sites[0].Domain
+	if dump := run("piirepro", "-small", "-dump", domain); !strings.Contains(dump, domain+" — Privacy Policy") {
+		t.Errorf("piirepro -dump %s output unexpected:\n%s", domain, dump)
+	}
+	if err := exec.Command(filepath.Join(dir, "piirepro"), "-small", "-dump", "nosuch.example").Run(); err == nil {
+		t.Error("piirepro -dump nosuch.example exited zero")
 	}
 
 	repro := run("piirepro", "-small", "-experiments", "E0,E8")

@@ -139,7 +139,7 @@ func main() {
 		fatal(err)
 	}
 
-	ds, err := crawler.CrawlOpts(ctx, eco, profile, common.CrawlerOptions(rt, prog))
+	ds, err := crawler.Run(ctx, eco, profile, common.CrawlerOptions(rt, prog))
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			cliflags.ExitInterrupted(prog, common.Checkpoint)
@@ -221,7 +221,7 @@ func workerRun(ctx context.Context, study *piileak.Study, common *cliflags.Commo
 			Shard:        fmt.Sprintf("%d/%d", shardIdx, shardN),
 		})
 	}
-	path, err := shard.RunWorker(ctx, study.Eco, study.Config.Browser, study.Detector, shard.WorkerConfig{
+	path, err := shard.RunWorker(ctx, study.Eco, study.Config.Browser, study.Engine, shard.WorkerConfig{
 		Shard:         shardIdx,
 		Shards:        shardN,
 		Dir:           common.ShardDir,

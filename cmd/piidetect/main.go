@@ -19,6 +19,7 @@ import (
 
 	"piileak/internal/core"
 	"piileak/internal/crawler"
+	"piileak/internal/detect"
 	"piileak/internal/dnssim"
 	"piileak/internal/har"
 	"piileak/internal/httpmodel"
@@ -89,11 +90,12 @@ func main() {
 		nSites = len(sites)
 	}
 
-	cs, err := pii.BuildCandidates(persona, pii.CandidateConfig{MaxDepth: *depth})
+	det, err := detect.NewEngine(persona, dnssim.NewClassifier(zone), detect.Config{
+		Candidates: pii.CandidateConfig{MaxDepth: *depth},
+	})
 	if err != nil {
 		fatal(err)
 	}
-	det := core.NewDetector(cs, dnssim.NewClassifier(zone))
 
 	var leaks []core.Leak
 	for _, s := range sites {

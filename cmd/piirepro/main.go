@@ -10,6 +10,7 @@
 //	         [-site-timeout D] [-quarantine dir] [-only domains]
 //	         [-checkpoint file] [-resume]
 //	         [-metrics out.json] [-trace out.jsonl] [-pprof addr]
+//	         [-easylist file] [-easyprivacy file] [-dump domain]
 //
 // piirepro shares piicrawl's full flag surface (internal/cliflags): the
 // crash-only runtime's knobs (-site-timeout, -quarantine, -checkpoint,
@@ -18,6 +19,11 @@
 // and -trace attach the deterministic observer — the tables are
 // byte-identical with telemetry on or off, and two identically-seeded
 // runs write identical telemetry files.
+//
+// -easylist and -easyprivacy replace the ecosystem's generated filter
+// lists with custom ones before the run, so E10 (Table 4) evaluates
+// them instead. -dump prints one site's generated privacy policy (the
+// text the §6 audit classifies) and exits without crawling.
 //
 // -stream runs the fused crawl+detect pipeline: captures are released
 // after detection (peak memory stays bounded), every table is identical
@@ -35,6 +41,7 @@ import (
 
 	"piileak"
 	"piileak/internal/cliflags"
+	"piileak/internal/policy"
 )
 
 const prog = "piirepro"
@@ -43,6 +50,9 @@ func main() {
 	common := cliflags.Register(flag.CommandLine)
 	only := flag.String("experiments", "", "comma-separated experiment IDs (default: all)")
 	jsonOut := flag.Bool("json", false, "emit the machine-readable summary instead of text reports")
+	easyList := flag.String("easylist", "", "custom EasyList file for E10 (default: the ecosystem's corpus)")
+	easyPrivacy := flag.String("easyprivacy", "", "custom EasyPrivacy file for E10 (default: the ecosystem's corpus)")
+	dump := flag.String("dump", "", "print the generated policy text of this site domain and exit")
 	flag.Parse()
 
 	if err := common.Validate(); err != nil {
@@ -54,6 +64,20 @@ func main() {
 
 	study, err := piileak.NewStudy(common.StudyConfig())
 	if err != nil {
+		fatal(err)
+	}
+	if *dump != "" {
+		text, err := policyText(study, *dump)
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Println(text)
+		return
+	}
+	if err := readList(*easyList, &study.Eco.EasyListText); err != nil {
+		fatal(err)
+	}
+	if err := readList(*easyPrivacy, &study.Eco.EasyPrivacyText); err != nil {
 		fatal(err)
 	}
 	profile, err := common.ResolveProfile(study.Eco)
@@ -131,6 +155,31 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// policyText returns the generated privacy policy of one study-core
+// site.
+func policyText(study *piileak.Study, domain string) (string, error) {
+	for _, s := range study.Eco.Sites {
+		if s.Domain == domain {
+			return policy.Generate(s), nil
+		}
+	}
+	return "", fmt.Errorf("-dump: site %q not in the ecosystem", domain)
+}
+
+// readList replaces *text with the filter list at path; an empty path
+// keeps the ecosystem's generated corpus.
+func readList(path string, text *string) error {
+	if path == "" {
+		return nil
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	*text = string(b)
+	return nil
 }
 
 func fatal(err error) {

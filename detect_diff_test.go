@@ -8,13 +8,14 @@ import (
 	"testing"
 
 	"piileak/internal/core"
+	"piileak/internal/detect/oracle"
 	"piileak/internal/obs"
 	"piileak/internal/resilience"
 	"piileak/internal/shard"
 )
 
 // TestEngineMatchesLegacyDetectorAcrossModes anchors the two-phase
-// detection engine to the single-phase core.Detector at the study level:
+// detection engine to the single-phase oracle.Detector at the study level:
 // for several seeds, the leaks a full run produces through the Engine
 // (batch, streamed-parallel, and sharded) are byte-identical to
 // re-detecting the batch run's dataset with a freshly built legacy
@@ -36,7 +37,7 @@ func TestEngineMatchesLegacyDetectorAcrossModes(t *testing.T) {
 
 			// The legacy anchor: one Detector, the old single-phase scan,
 			// over the exact dataset the batch run crawled.
-			legacy := core.NewDetector(batch.Candidates, batch.Engine.CNAME())
+			legacy := oracle.NewDetector(batch.Candidates, batch.Engine.CNAME())
 			var want []core.Leak
 			for _, c := range batch.Dataset.Successes() {
 				want = append(want, legacy.DetectSite(c.Domain, c.Records)...)

@@ -8,7 +8,7 @@ import (
 	"fmt"
 	"log"
 
-	"piileak/internal/core"
+	"piileak/internal/detect"
 	"piileak/internal/dnssim"
 	"piileak/internal/httpmodel"
 	"piileak/internal/pii"
@@ -33,19 +33,20 @@ func main() {
 
 	// Build the candidate set: plaintext + every encoding/hash chain up
 	// to depth 2 (≈ 10k tokens, compiled into one automaton).
-	candidates, err := pii.BuildCandidates(persona, pii.CandidateConfig{MaxDepth: 2})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("candidate set: %d tokens, %d automaton states\n\n",
-		candidates.Size(), candidates.States())
-
 	// The DNS view observed during capture: one first-party subdomain is
 	// CNAME-cloaked to Adobe.
 	zone := dnssim.NewZone()
 	zone.AddCNAME("smetrics.myshop.example", "myshop.sc.omtrdc.net")
 
-	detector := core.NewDetector(candidates, dnssim.NewClassifier(zone))
+	detector, err := detect.NewEngine(persona, dnssim.NewClassifier(zone), detect.Config{
+		Candidates: pii.CandidateConfig{MaxDepth: 2},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	candidates := detector.Candidates()
+	fmt.Printf("candidate set: %d tokens, %d automaton states\n\n",
+		candidates.Size(), candidates.States())
 
 	// Three captured requests: a facebook pixel with a hashed email in
 	// the URI, a JSON beacon with a base64 email, and a pageview to the

@@ -256,6 +256,11 @@ func runE8(s *Study) (string, error) {
 func runE9(s *Study) (string, error) {
 	results := s.EvaluateBrowsers()
 	out := report.Browsers(results)
+	for _, r := range results {
+		if len(r.MissedReceivers) > 0 {
+			out += fmt.Sprintf("%s still leaks to: %s\n", r.Browser, strings.Join(r.MissedReceivers, ", "))
+		}
+	}
 	var brave *struct {
 		senderRed, receiverRed float64
 		missed, failures       int
@@ -329,7 +334,7 @@ func runA1(s *Study) (string, error) {
 			cfg.Transforms = []string{"md5", "sha1", "sha256", "sha512", "base64", "base32", "ripemd_160", "sha3_256"}
 		}
 		start := time.Now() //lint:allow detrand A-series ablations report real build/scan wall time; not part of the pinned study bytes
-		eng, err := detect.NewEngine(s.Eco.Persona, s.Detector.CNAME, detect.Config{Candidates: cfg})
+		eng, err := detect.NewEngine(s.Eco.Persona, s.Engine.CNAME(), detect.Config{Candidates: cfg})
 		if err != nil {
 			return "", err
 		}
@@ -419,7 +424,7 @@ func runA3(s *Study) (string, error) {
 	if err := s.requireCaptures("A3"); err != nil {
 		return "", err
 	}
-	eng, err := detect.NewEngine(s.Eco.Persona, s.Detector.CNAME, detect.Config{
+	eng, err := detect.NewEngine(s.Eco.Persona, s.Engine.CNAME(), detect.Config{
 		Candidates: pii.CandidateConfig{
 			MaxDepth:   1,
 			Transforms: []string{"md5", "sha1", "sha256", "sha512", "sha3_256", "ripemd_160"},

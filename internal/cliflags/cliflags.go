@@ -396,11 +396,12 @@ func ResolveBrowser(name string, eco *webgen.Ecosystem) (browser.Profile, error)
 
 // Runtime is the per-run state the flags materialize: the telemetry
 // observer (when -metrics or -trace asked for one), the quarantine
-// store and the -only site subset.
+// store and the -only site subset (nil Source = the ecosystem's
+// universe).
 type Runtime struct {
 	Observer   *obs.Run
 	Quarantine *crawler.Quarantine
-	Sites      []*site.Site
+	Source     site.Source
 }
 
 // Runtime builds the run state against the generated ecosystem.
@@ -422,7 +423,7 @@ func (c *Common) Runtime(eco *webgen.Ecosystem) (*Runtime, error) {
 		if err != nil {
 			return nil, err
 		}
-		rt.Sites = sites
+		rt.Source = site.Slice(sites)
 	}
 	return rt, nil
 }
@@ -447,8 +448,8 @@ func (c *Common) RunOptions(rt *Runtime, prog string, progress func(pipeline.Eve
 	if rt.Quarantine != nil {
 		opts = append(opts, piileak.WithQuarantine(rt.Quarantine))
 	}
-	if rt.Sites != nil {
-		opts = append(opts, piileak.WithSites(rt.Sites))
+	if rt.Source != nil {
+		opts = append(opts, piileak.WithSource(rt.Source))
 	}
 	if c.Checkpoint != "" {
 		opts = append(opts, piileak.WithCheckpoint(c.Checkpoint))
@@ -484,7 +485,7 @@ func (c *Common) CrawlerOptions(rt *Runtime, prog string) crawler.Options {
 		Policy:         resilience.Policy{MaxAttempts: c.Retries},
 		SiteTimeout:    c.SiteTimeout,
 		Quarantine:     rt.Quarantine,
-		Sites:          rt.Sites,
+		Source:         rt.Source,
 		CheckpointPath: c.Checkpoint,
 		Resume:         c.Resume,
 		Obs:            rt.Observer,

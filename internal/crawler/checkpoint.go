@@ -41,30 +41,44 @@ type Checkpoint struct {
 var CheckpointFailpoint func(event string, appends int)
 
 // checkpointHeader pins a checkpoint to one run: resuming under a
-// different seed, site population, browser or shard scope silently
-// mixes datasets, so it is refused instead. Shard is the "i/K" label of
-// a sharded study's failure domain ("" for unsharded runs) — a shard
-// checkpoint resumed by a different shard, or an unsharded checkpoint
-// resumed by a sharded run, is a header mismatch, not silent data
-// corruption.
+// different seed, site population, browser, fault config or shard scope
+// silently mixes datasets, so it is refused instead. Shard is the "i/K"
+// label of a sharded study's failure domain ("" for unsharded runs) — a
+// shard checkpoint resumed by a different shard, or an unsharded
+// checkpoint resumed by a sharded run, is a header mismatch, not silent
+// data corruption. FaultSeed and FaultRate are the ecosystem's resolved
+// fault-injection config; both are zero, and absent from the JSON, on
+// fault-free runs, so fault-free headers keep their bytes.
 type checkpointHeader struct {
-	Version int    `json:"version"`
-	Browser string `json:"browser"`
-	Seed    uint64 `json:"seed"`
-	Sites   int    `json:"sites"`
-	Shard   string `json:"shard,omitempty"`
+	Version   int     `json:"version"`
+	Browser   string  `json:"browser"`
+	Seed      uint64  `json:"seed"`
+	Sites     int     `json:"sites"`
+	Shard     string  `json:"shard,omitempty"`
+	FaultSeed uint64  `json:"fault_seed,omitempty"`
+	FaultRate float64 `json:"fault_rate,omitempty"`
 }
 
 const checkpointVersion = 1
 
 func headerFor(eco *webgen.Ecosystem, profile browser.Profile, shard string) checkpointHeader {
-	return checkpointHeader{
+	h := checkpointHeader{
 		Version: checkpointVersion,
 		Browser: profile.Name + " " + profile.Version,
 		Seed:    eco.Config.Seed,
 		Sites:   eco.Config.ShoppingSites,
 		Shard:   shard,
 	}
+	if inj := eco.Faults; inj != nil {
+		h.FaultSeed, h.FaultRate = inj.Seed(), inj.Rate()
+	}
+	return h
+}
+
+// String renders the header's run identity for mismatch errors.
+func (h checkpointHeader) String() string {
+	return fmt.Sprintf("%s seed=%d sites=%d shard=%q faults=%g fault-seed=%d",
+		h.Browser, h.Seed, h.Sites, h.Shard, h.FaultRate, h.FaultSeed)
 }
 
 // CheckpointShard peeks at a checkpoint file's header and reports the
@@ -175,8 +189,7 @@ func (c *Checkpoint) load(want checkpointHeader) error {
 		return fmt.Errorf("crawler: checkpoint %s: malformed header: %w", c.path, err)
 	}
 	if hdr != want {
-		return fmt.Errorf("crawler: checkpoint %s: written for %s seed=%d sites=%d shard=%q, resume requested for %s seed=%d sites=%d shard=%q",
-			c.path, hdr.Browser, hdr.Seed, hdr.Sites, hdr.Shard, want.Browser, want.Seed, want.Sites, want.Shard)
+		return fmt.Errorf("crawler: checkpoint %s: written for %s, resume requested for %s", c.path, hdr, want)
 	}
 	rest := lines[1:]
 	for li, line := range rest {

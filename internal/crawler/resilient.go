@@ -25,20 +25,12 @@ import (
 // Options configures a crawl beyond the stock fault-free defaults.
 type Options struct {
 	// Source supplies the site population lazily (site i materialized
-	// on demand); nil falls back to Sites, then to the ecosystem's full
-	// universe. Setting both Source and Sites is a validation error.
+	// on demand); nil means the ecosystem's full universe (which, at the
+	// default universe size, is exactly the candidate sites).
 	Source site.Source
-	// Sites restricts the crawl to a materialized slice; nil means the
-	// ecosystem's universe (which, at the default universe size, is
-	// exactly the candidate sites).
-	Sites []*site.Site
-	// Workers > 0 crawls with that many parallel workers (<= 0 inside
-	// CrawlOpts means serial; CrawlParallel keeps its own convention
-	// that <= 0 selects GOMAXPROCS).
+	// Workers > 1 crawls with that many parallel workers; <= 1 crawls
+	// serially with one browser. Results are byte-identical either way.
 	Workers int
-	// Faults overrides the ecosystem's injector; nil falls back to
-	// eco.Faults (which is nil for fault-free configs).
-	Faults *faultsim.Injector
 	// Policy tunes retry/backoff/breaker behaviour; zero fields take
 	// resilience.DefaultPolicy values.
 	Policy resilience.Policy
@@ -78,9 +70,6 @@ type Options struct {
 // silently preferring one side. It is the single source of truth the
 // pipeline's embedded options validate through.
 func (o Options) Validate() error {
-	if o.Source != nil && o.Sites != nil {
-		return errors.New("crawler: Source and Sites are both set — pick one site supply")
-	}
 	if o.Resume && o.CheckpointPath == "" {
 		return errors.New("crawler: Resume requires CheckpointPath")
 	}
@@ -119,52 +108,13 @@ type ResumeSummary struct {
 	TornRecords int `json:"torn_records"`
 }
 
-// CrawlOpts runs a crawl under explicit options. ctx cancels the run
-// between sites and interrupts in-flight retry backoffs; the entry being
-// crawled when cancellation lands is discarded (never checkpointed or
-// emitted), so a resumed run stays byte-identical to an uninterrupted
-// one.
-func CrawlOpts(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, opts Options) (*Dataset, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	src := opts.source(eco)
-	if opts.Workers > 0 {
-		return crawlParallel(ctx, eco, profile, src, opts.Workers, opts)
-	}
-	return crawlSerial(ctx, eco, profile, src, opts)
-}
-
-// source resolves the options' effective site supply: the lazy Source,
-// then the materialized Sites slice, then the ecosystem's universe. At
-// the default universe size the universe is exactly the candidate
-// sites, so the fallback is byte-identical to the historical nil-Sites
-// behaviour.
+// source resolves the options' effective site supply: the lazy
+// Source, else the ecosystem's universe.
 func (o Options) source(eco *webgen.Ecosystem) site.Source {
 	if o.Source != nil {
 		return o.Source
 	}
-	if o.Sites != nil {
-		return site.Slice(o.Sites)
-	}
 	return eco.Universe()
-}
-
-// ResumeCrawl continues an interrupted checkpointed crawl: completed
-// sites come from the checkpoint, the remainder are crawled, and the
-// merged dataset is identical to an uninterrupted run's.
-func ResumeCrawl(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, path string, opts Options) (*Dataset, error) {
-	opts.CheckpointPath = path
-	opts.Resume = true
-	return CrawlOpts(ctx, eco, profile, opts)
-}
-
-// injectorFor resolves the effective injector for a crawl.
-func injectorFor(eco *webgen.Ecosystem, opts Options) *faultsim.Injector {
-	if opts.Faults != nil {
-		return opts.Faults
-	}
-	return eco.Faults
 }
 
 // watchdogError is the non-transient failure a tripped site watchdog
@@ -201,10 +151,11 @@ type faultTransport struct {
 	timedOut bool
 }
 
-// newFaultTransport builds a transport for one site crawl; nil injector
-// with no watchdog yields nil (no transport, no overhead, byte-identical
-// fault-free records).
-func newFaultTransport(ctx context.Context, eco *webgen.Ecosystem, inj *faultsim.Injector, opts Options) *faultTransport {
+// newFaultTransport builds a transport for one site crawl under the
+// ecosystem's fault injector; no injector and no watchdog yields nil (no
+// transport, no overhead, byte-identical fault-free records).
+func newFaultTransport(ctx context.Context, eco *webgen.Ecosystem, opts Options) *faultTransport {
+	inj := eco.Faults
 	if inj == nil && opts.SiteTimeout <= 0 {
 		return nil
 	}
@@ -385,19 +336,4 @@ func crashedEntry(b *browser.Browser, eco *webgen.Ecosystem, s *site.Site, rt *f
 	}
 	q.Add(BundleFor(stage, &crawl, eco.Config.Seed, faultSeed, panicked))
 	return crawlEntry{Crawl: crawl, Mail: mbox.Messages, Blocked: b.Blocked}
-}
-
-// crawlSerial is the single-browser loop behind Run/Crawl/CrawlSites
-// and the checkpointing/resilient paths, built on the streaming engine:
-// serial emissions arrive in site order, so they merge directly.
-func crawlSerial(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, src site.Source, opts Options) (*Dataset, error) {
-	ds := newDataset(eco, profile.Name+" "+profile.Version)
-	err := streamCrawl(ctx, eco, profile, src, 1, opts, func(_ int, e crawlEntry) error {
-		ds.merge(e)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ds, nil
 }

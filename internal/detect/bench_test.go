@@ -1,12 +1,12 @@
 package detect
 
 import (
-	"net/url"
 	"testing"
 
+	"net/url"
+
 	"piileak/internal/browser"
-	"piileak/internal/core"
-	"piileak/internal/crawler"
+	"piileak/internal/detect/oracle"
 	"piileak/internal/dnssim"
 	"piileak/internal/httpmodel"
 	"piileak/internal/pii"
@@ -51,7 +51,7 @@ func benchRecords() (clean, leaky httpmodel.Record) {
 
 func BenchmarkScan(b *testing.B) {
 	eng := benchEngine(b)
-	legacy := core.NewDetector(eng.Candidates(), eng.CNAME())
+	legacy := oracle.NewDetector(eng.Candidates(), eng.CNAME())
 	clean, leaky := benchRecords()
 	site := "shop.example.com"
 
@@ -84,8 +84,8 @@ func BenchmarkDetectSite(b *testing.B) {
 	cname := dnssim.NewClassifier(eco.Zone)
 	eng := MustNewEngine(eco.Persona, cname, Config{})
 	conc := MustNewEngine(eco.Persona, cname, Config{ConcurrentChannels: true})
-	legacy := core.NewDetector(eng.Candidates(), cname)
-	succ := crawler.Crawl(eco, browser.Firefox88()).Successes()
+	legacy := oracle.NewDetector(eng.Candidates(), cname)
+	succ := mustCrawl(b, eco, browser.Firefox88()).Successes()
 	if len(succ) == 0 {
 		b.Fatal("no successful crawls")
 	}

@@ -1,15 +1,18 @@
 package detect
 
 import (
-	"encoding/json"
-	"net/url"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
 
+	"encoding/json"
+	"net/url"
+
 	"piileak/internal/browser"
 	"piileak/internal/core"
 	"piileak/internal/crawler"
+	"piileak/internal/detect/oracle"
 	"piileak/internal/dnssim"
 	"piileak/internal/httpmodel"
 	"piileak/internal/pii"
@@ -19,8 +22,18 @@ import (
 // legacyFor builds the reference single-phase detector sharing the
 // engine's candidate set and classifier, so any output divergence is the
 // scan path's fault, not a compile difference.
-func legacyFor(e *Engine) *core.Detector {
-	return core.NewDetector(e.Candidates(), e.CNAME())
+func legacyFor(e *Engine) *oracle.Detector {
+	return oracle.NewDetector(e.Candidates(), e.CNAME())
+}
+
+// mustCrawl crawls the ecosystem's universe, failing the test on error.
+func mustCrawl(tb testing.TB, eco *webgen.Ecosystem, profile browser.Profile) *crawler.Dataset {
+	tb.Helper()
+	ds, err := crawler.Run(context.Background(), eco, profile, crawler.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ds
 }
 
 func mustJSON(t *testing.T, v any) []byte {
@@ -65,7 +78,7 @@ func TestScannerMatchesLegacyOnCrawls(t *testing.T) {
 			t.Fatal(err)
 		}
 		legacy := legacyFor(eng)
-		ds := crawler.Crawl(eco, browser.Firefox88())
+		ds := mustCrawl(t, eco, browser.Firefox88())
 
 		sc := eng.NewScanner()
 		csc := conc.NewScanner()
@@ -109,7 +122,7 @@ func TestDecodeDetectMatchesLegacy(t *testing.T) {
 	}
 	legacy := legacyFor(eng)
 	sc := eng.NewScanner()
-	ds := crawler.Crawl(eco, browser.Firefox88())
+	ds := mustCrawl(t, eco, browser.Firefox88())
 	compared := 0
 	for _, c := range ds.Successes() {
 		for i := range c.Records {

@@ -149,7 +149,7 @@ type Engine struct {
 
 // NewEngine compiles (or fetches from the shared build cache) the
 // detection engine for a persona. cname enables CNAME uncloaking; nil
-// disables it, exactly as with core.NewDetector.
+// disables it.
 func NewEngine(p pii.Persona, cname *dnssim.Classifier, cfg Config) (*Engine, error) {
 	var (
 		cs  *pii.CandidateSet

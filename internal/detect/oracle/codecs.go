@@ -1,4 +1,4 @@
-package core
+package oracle
 
 import "piileak/internal/encode"
 

@@ -58,7 +58,7 @@ func (e *Engine) NewScanner() *Scanner {
 func (s *Scanner) Engine() *Engine { return s.eng }
 
 // DetectSite scans all records of one site crawl. Output is
-// byte-identical to core.Detector.DetectSite on the same inputs.
+// byte-identical to oracle.Detector.DetectSite on the same inputs.
 func (s *Scanner) DetectSite(siteDomain string, records []httpmodel.Record) []core.Leak {
 	var out []core.Leak
 	for i := range records {
@@ -68,7 +68,7 @@ func (s *Scanner) DetectSite(siteDomain string, records []httpmodel.Record) []co
 }
 
 // DetectRecord returns the leaks in one captured request, byte-identical
-// to core.Detector.DetectRecord: matches dedup per (method, token) and
+// to oracle.Detector.DetectRecord: matches dedup per (method, token) and
 // named surfaces own the parameter attribution.
 func (s *Scanner) DetectRecord(siteDomain string, rec *httpmodel.Record) []core.Leak {
 	s.beginSite(siteDomain)
@@ -291,7 +291,7 @@ func (s *Scanner) mightLeak(r *httpmodel.Request) bool {
 }
 
 // scanRecord is the full scan, reached only for records the prefilter
-// could not clear. It reproduces core.Detector.DetectRecord exactly;
+// could not clear. It reproduces oracle.Detector.DetectRecord exactly;
 // allocations here (the dedup map, the leak slice) are per-leaky-record,
 // off the steady-state path.
 func (s *Scanner) scanRecord(siteDomain, receiver string, cloaked bool, rec *httpmodel.Record) []core.Leak {
@@ -451,7 +451,7 @@ func scanOneChannel(e *Engine, ci int, siteDomain, receiver string, cloaked bool
 }
 
 // DecodeDetect is the A3 ablation's decode-and-scan strategy on the
-// two-phase engine, byte-identical to core.Detector.DecodeDetect.
+// two-phase engine, byte-identical to oracle.Detector.DecodeDetect.
 func (s *Scanner) DecodeDetect(siteDomain string, rec *httpmodel.Record, maxDepth int) []core.Leak {
 	s.beginSite(siteDomain)
 	receiver, cloaked := s.receiverFor(&rec.Request)

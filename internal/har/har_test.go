@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"piileak/internal/core"
+	"piileak/internal/detect"
 	"piileak/internal/httpmodel"
 	"piileak/internal/pii"
 )
@@ -158,10 +158,9 @@ func TestHARFeedsDetector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := pii.MustBuildCandidates(p, pii.CandidateConfig{
+	det := detect.MustNewEngine(p, nil, detect.Config{Candidates: pii.CandidateConfig{
 		MaxDepth: 1, Transforms: []string{"sha256"},
-	})
-	det := core.NewDetector(cs, nil)
+	}})
 	leaks := det.DetectSite("shop.example", recs)
 	if len(leaks) != 1 {
 		t.Fatalf("leaks = %+v", leaks)

@@ -29,16 +29,14 @@ import (
 	"piileak/internal/detect"
 	"piileak/internal/httpmodel"
 	"piileak/internal/obs"
-	"piileak/internal/site"
 	"piileak/internal/tracking"
 	"piileak/internal/webgen"
 )
 
 // Detector is what the detection stage needs from a scanner. The
 // production implementation is *detect.Engine (each detect worker
-// derives a private Scanner from it); *core.Detector still satisfies it,
-// and tests substitute misbehaving detectors to exercise the crash-only
-// path.
+// derives a private Scanner from it); tests substitute the differential
+// oracle or misbehaving detectors to exercise the crash-only path.
 type Detector interface {
 	DetectSite(siteDomain string, records []httpmodel.Record) []core.Leak
 }
@@ -46,8 +44,8 @@ type Detector interface {
 // Options configures a streamed study run. The embedded crawler.Options
 // is the single source of truth for the crawl stage — its Workers field
 // IS the crawl parallelism (<= 1 crawls serially with one browser), its
-// Obs field is the run's observer, and its site-subset / fault /
-// checkpoint / watchdog knobs apply unchanged. There is no separate
+// Obs field is the run's observer, and its site-source / checkpoint /
+// watchdog knobs apply unchanged. There is no separate
 // CrawlWorkers override anymore; Validate rejects contradictions
 // instead of silently preferring one side.
 type Options struct {
@@ -188,9 +186,7 @@ func detectGuarded(det Detector, out *siteOutput, eco *webgen.Ecosystem, copts c
 			out.leaks = nil
 			out.res.Crawl.Outcome = crawler.OutcomeCrashed
 			var faultSeed uint64
-			if inj := copts.Faults; inj != nil {
-				faultSeed = inj.Seed()
-			} else if eco.Faults != nil {
+			if eco.Faults != nil {
 				faultSeed = eco.Faults.Seed()
 			}
 			copts.Quarantine.Add(crawler.BundleFor(crawler.StageDetect, &out.res.Crawl, eco.Config.Seed, faultSeed, r))
@@ -212,13 +208,9 @@ func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, de
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	src := opts.Options.Source
+	src := opts.Source
 	if src == nil {
-		if opts.Sites != nil {
-			src = site.Slice(opts.Sites)
-		} else {
-			src = eco.Universe()
-		}
+		src = eco.Universe()
 	}
 	total := src.Len()
 	o := opts.Obs
@@ -251,11 +243,10 @@ func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, de
 
 	// Stage 1: crawl. Emissions block on the captures channel, which is
 	// the backpressure that bounds the pipeline's in-flight state. The
-	// resolved source replaces any Sites slice so the crawl and the
-	// accumulator agree on the population.
+	// crawl gets the resolved source so it and the accumulator agree on
+	// the population.
 	copts := opts.Options
 	copts.Source = src
-	copts.Sites = nil
 	var crawlErr error
 	go func() {
 		defer close(captures)

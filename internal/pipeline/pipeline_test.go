@@ -9,22 +9,32 @@ import (
 	"piileak/internal/browser"
 	"piileak/internal/core"
 	"piileak/internal/crawler"
+	"piileak/internal/detect"
 	"piileak/internal/dnssim"
-	"piileak/internal/pii"
 	"piileak/internal/webgen"
 )
 
-func fixture(t testing.TB, seed uint64) (*webgen.Ecosystem, browser.Profile, *core.Detector) {
+func fixture(t testing.TB, seed uint64) (*webgen.Ecosystem, browser.Profile, *detect.Engine) {
 	t.Helper()
 	eco, err := webgen.Generate(webgen.SmallConfig(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := pii.BuildCandidates(eco.Persona, pii.CandidateConfig{MaxDepth: 2})
+	eng, err := detect.NewEngine(eco.Persona, dnssim.NewClassifier(eco.Zone), detect.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eco, browser.Firefox88(), core.NewDetector(cs, dnssim.NewClassifier(eco.Zone))
+	return eco, browser.Firefox88(), eng
+}
+
+// mustCrawl runs the batch crawl, failing the test on error.
+func mustCrawl(tb testing.TB, eco *webgen.Ecosystem, profile browser.Profile) *crawler.Dataset {
+	tb.Helper()
+	ds, err := crawler.Run(context.Background(), eco, profile, crawler.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ds
 }
 
 // TestRunMatchesBatch: the streamed pipeline must reproduce the batch
@@ -33,7 +43,7 @@ func fixture(t testing.TB, seed uint64) (*webgen.Ecosystem, browser.Profile, *co
 func TestRunMatchesBatch(t *testing.T) {
 	eco, profile, det := fixture(t, 29)
 
-	batchDS := crawler.Crawl(eco, profile)
+	batchDS := mustCrawl(t, eco, profile)
 	var batchLeaks []core.Leak
 	for _, c := range batchDS.Successes() {
 		batchLeaks = append(batchLeaks, det.DetectSite(c.Domain, c.Records)...)

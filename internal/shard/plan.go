@@ -48,6 +48,10 @@ type Plan struct {
 	Schema    int    `json:"schema"`
 	EcoSeed   uint64 `json:"eco_seed"`
 	FaultSeed uint64 `json:"fault_seed,omitempty"`
+	// FaultRate is the ecosystem's fault rate, bound next to its seed:
+	// shards crawled under different fault configs never merge. Absent
+	// on fault-free plans, which keep their bytes.
+	FaultRate float64 `json:"fault_rate,omitempty"`
 	// Shards is K; Universe is the full ranked site count, including
 	// any lazily generated tail.
 	Shards   int `json:"shards"`
@@ -77,10 +81,17 @@ func NewPlan(eco *webgen.Ecosystem, shards int) (*Plan, error) {
 		Universe:   n,
 		Interleave: planInterleave,
 	}
-	if eco.Faults != nil {
-		p.FaultSeed = eco.Faults.Seed()
-	}
+	p.FaultSeed, p.FaultRate = faultConfig(eco)
 	return p, nil
+}
+
+// faultConfig is the ecosystem's resolved fault seed and rate; both
+// zero when fault injection is off.
+func faultConfig(eco *webgen.Ecosystem) (seed uint64, rate float64) {
+	if eco.Faults == nil {
+		return 0, 0
+	}
+	return eco.Faults.Seed(), eco.Faults.Rate()
 }
 
 // Size is the number of sites shard covers under the interleave:
@@ -154,12 +165,12 @@ func (p *Plan) Verify(eco *webgen.Ecosystem) error {
 	if p.EcoSeed != eco.Config.Seed {
 		return fmt.Errorf("shard: plan eco seed %d, ecosystem has %d", p.EcoSeed, eco.Config.Seed)
 	}
-	var faultSeed uint64
-	if eco.Faults != nil {
-		faultSeed = eco.Faults.Seed()
-	}
+	faultSeed, faultRate := faultConfig(eco)
 	if p.FaultSeed != faultSeed {
 		return fmt.Errorf("shard: plan fault seed %d, ecosystem has %d", p.FaultSeed, faultSeed)
+	}
+	if p.FaultRate != faultRate {
+		return fmt.Errorf("shard: plan fault rate %g, ecosystem has %g", p.FaultRate, faultRate)
 	}
 	if n := eco.Universe().Len(); p.Universe != n {
 		return fmt.Errorf("shard: plan universe %d, ecosystem has %d sites", p.Universe, n)

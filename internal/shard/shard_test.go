@@ -3,17 +3,18 @@ package shard
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"os"
 	"reflect"
 	"sync"
 	"testing"
 
+	"encoding/json"
+
 	"piileak/internal/browser"
 	"piileak/internal/core"
+	"piileak/internal/detect"
 	"piileak/internal/dnssim"
 	"piileak/internal/faultsim"
-	"piileak/internal/pii"
 	"piileak/internal/pipeline"
 	"piileak/internal/webgen"
 )
@@ -26,21 +27,17 @@ const fixtureSeed = 53
 var (
 	fixtureOnce sync.Once
 	fixtureEco  *webgen.Ecosystem
-	fixtureDet  *core.Detector
+	fixtureDet  *detect.Engine
 	fixtureRef  *pipeline.Result
 )
 
-func fixture(t testing.TB) (*webgen.Ecosystem, browser.Profile, *core.Detector, *pipeline.Result) {
+func fixture(t testing.TB) (*webgen.Ecosystem, browser.Profile, *detect.Engine, *pipeline.Result) {
 	t.Helper()
 	fixtureOnce.Do(func() {
 		cfg := webgen.SmallConfig(fixtureSeed)
 		cfg.Faults = &faultsim.Config{Rate: 0.3}
 		fixtureEco = webgen.MustGenerate(cfg)
-		cs, err := pii.BuildCandidates(fixtureEco.Persona, pii.CandidateConfig{MaxDepth: 2})
-		if err != nil {
-			panic(err)
-		}
-		fixtureDet = core.NewDetector(cs, dnssim.NewClassifier(fixtureEco.Zone))
+		fixtureDet = detect.MustNewEngine(fixtureEco.Persona, dnssim.NewClassifier(fixtureEco.Zone), detect.Config{})
 		ref, err := pipeline.Run(context.Background(), fixtureEco, browser.Firefox88(), fixtureDet, pipeline.Options{})
 		if err != nil {
 			panic(err)
@@ -200,7 +197,8 @@ func TestPlanDeterministicInterleaved(t *testing.T) {
 }
 
 // TestPlanVerifyRejectsForeign: a plan from another study — different
-// seed, edited domains, wrong universe — must fail verification, and
+// seed or fault config, edited domains, wrong universe — must fail
+// verification, and
 // structurally-broken plan bytes must fail the read-time parse.
 func TestPlanVerifyRejectsForeign(t *testing.T) {
 	eco, _, _, _ := fixture(t)
@@ -229,6 +227,20 @@ func TestPlanVerifyRejectsForeign(t *testing.T) {
 	shrunk.Universe--
 	if err := shrunk.Verify(eco); err == nil {
 		t.Error("plan with a wrong universe verified")
+	}
+
+	// The plan binds the fault config next to the eco seed: the same
+	// study under another fault rate or fault seed is foreign.
+	for name, faults := range map[string]*faultsim.Config{
+		"fault rate": {Rate: 0.1},
+		"fault seed": {Seed: fixtureSeed + 1, Rate: 0.3},
+		"fault-free": nil,
+	} {
+		cfg := webgen.SmallConfig(fixtureSeed)
+		cfg.Faults = faults
+		if err := plan.Verify(webgen.MustGenerate(cfg)); err == nil {
+			t.Errorf("plan verified against the study with a changed %s", name)
+		}
 	}
 
 	legacy, err := NewPlan(eco, 3)

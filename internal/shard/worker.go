@@ -23,10 +23,10 @@ type WorkerConfig struct {
 	// Workers/DetectWorkers/Buffer are the per-shard pipeline knobs,
 	// passed through to pipeline.Options.
 	Workers, DetectWorkers, Buffer int
-	// Options carries the remaining crawl knobs — faults, policy, site
-	// timeout, observer. Source, Sites, CheckpointPath, Resume,
-	// Shard/Shards and Quarantine are owned by the worker and
-	// overwritten.
+	// Options carries the remaining crawl knobs — policy, site timeout,
+	// observer. Source, CheckpointPath, Resume, Shard/Shards and
+	// Quarantine are owned by the worker and overwritten. Faults come
+	// from the ecosystem.
 	Options crawler.Options
 	// QuarantineDir, when set, collects crash bundles under shard-unique
 	// paths so K workers can share the directory. QuarantineMax caps the
@@ -104,7 +104,6 @@ func RunWorker(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profi
 	opts.Workers = cfg.Workers
 	opts.Shard, opts.Shards = cfg.Shard, cfg.Shards
 	opts.Source = src
-	opts.Sites = nil
 	opts.CheckpointPath = cfg.Checkpoint
 	if opts.CheckpointPath == "" {
 		opts.CheckpointPath = CheckpointPath(cfg.Dir, cfg.Shard, cfg.Shards)
@@ -147,11 +146,7 @@ func RunWorker(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profi
 		Shard:    cfg.Shard,
 		Universe: universe.Len(),
 	}
-	if inj := cfg.Options.Faults; inj != nil {
-		m.FaultSeed = inj.Seed()
-	} else if eco.Faults != nil {
-		m.FaultSeed = eco.Faults.Seed()
-	}
+	m.FaultSeed, _ = faultConfig(eco)
 	path := ResultPath(cfg.Dir, cfg.Shard, cfg.Shards)
 	if err := WriteResult(path, m, recs); err != nil {
 		return "", err

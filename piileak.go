@@ -35,7 +35,6 @@ import (
 	"piileak/internal/crawler"
 	"piileak/internal/detect"
 	"piileak/internal/dnssim"
-	"piileak/internal/faultsim"
 	"piileak/internal/obs"
 	"piileak/internal/pii"
 	"piileak/internal/pipeline"
@@ -96,12 +95,8 @@ type Study struct {
 	Engine *detect.Engine
 	// Candidates is the persona's compiled token set (the Engine's).
 	Candidates *pii.CandidateSet
-	// Detector is the legacy single-phase §4.1 leak detector, kept as
-	// the reference implementation; it shares the Engine's candidate
-	// set, so holding both costs no extra compile.
-	Detector *core.Detector
 
-	// Dataset, Leaks and Analysis are populated by Run (or RunStream).
+	// Dataset, Leaks and Analysis are populated by Run (or RunSharded).
 	Dataset  *crawler.Dataset
 	Leaks    []core.Leak
 	Analysis *core.Analysis
@@ -111,8 +106,9 @@ type Study struct {
 	// set and the §7.2 request index, all built in one pass. Tracking,
 	// PolicyAudit and EvaluateBlocklists are views over it.
 	Result *pipeline.Result
-	// Streamed marks a RunStream study whose captures were released
-	// after detection; experiments needing raw records refuse to run.
+	// Streamed marks a study run WithStream (or sharded) whose captures
+	// were released after detection; experiments needing raw records
+	// refuse to run.
 	Streamed bool
 }
 
@@ -135,13 +131,11 @@ func NewStudy(cfg Config) (*Study, error) {
 	if err != nil {
 		return nil, err
 	}
-	cs := eng.Candidates()
 	return &Study{
 		Config:     cfg,
 		Eco:        eco,
 		Engine:     eng,
-		Candidates: cs,
-		Detector:   core.NewDetector(cs, cname),
+		Candidates: eng.Candidates(),
 	}, nil
 }
 
@@ -157,8 +151,7 @@ type runConfig struct {
 	universe int
 }
 
-// defaultRunConfig seeds the option set from the study's Config,
-// matching what the deprecated RunContext wrapper always did: both
+// defaultRunConfig seeds the option set from the study's Config: both
 // stages at Config.Workers, batch (KeepRecords) mode.
 func (s *Study) defaultRunConfig() runConfig {
 	var rc runConfig
@@ -184,12 +177,6 @@ func WithWorkers(crawl, detect int) RunOption {
 		rc.opts.Workers = crawl
 		rc.opts.DetectWorkers = detect
 	}
-}
-
-// WithBuffer sets the capture channel's capacity (default 2). Together
-// with the worker counts it bounds the captures in flight.
-func WithBuffer(n int) RunOption {
-	return func(rc *runConfig) { rc.opts.Buffer = n }
 }
 
 // WithCheckpoint persists per-site progress to path so an interrupted
@@ -229,16 +216,6 @@ func WithQuarantine(q *crawler.Quarantine) RunOption {
 	return func(rc *runConfig) { rc.opts.Quarantine = q }
 }
 
-// WithSites restricts the run to a materialized site subset (re-running
-// quarantined domains, bisecting failures).
-//
-// Deprecated: use WithSource(site.Slice(sites)) — the source-based API
-// covers both materialized subsets and lazy populations. WithSites
-// survives as a thin wrapper for one release, pinned byte-identical.
-func WithSites(sites []*site.Site) RunOption {
-	return func(rc *runConfig) { rc.opts.Sites = sites }
-}
-
 // WithSource supplies the run's site population lazily: sites
 // materialize one at a time as the crawl reaches them, so peak site
 // memory is bounded by the captures in flight, not the population's
@@ -254,11 +231,6 @@ func WithSource(src site.Source) RunOption {
 // study core is an error.
 func WithUniverse(n int) RunOption {
 	return func(rc *runConfig) { rc.universe = n }
-}
-
-// WithFaults overrides the ecosystem's fault injector for this run.
-func WithFaults(inj *faultsim.Injector) RunOption {
-	return func(rc *runConfig) { rc.opts.Faults = inj }
 }
 
 // WithRetryPolicy tunes the resilient transport's retry/backoff/breaker
@@ -331,12 +303,9 @@ func (s *Study) RunSharded(ctx context.Context, opts shard.Options) (*shard.Repo
 		if s.Eco.Faults != nil {
 			info.FaultSeed = s.Eco.Faults.Seed()
 		}
-		if opts.Crawl.Faults != nil {
-			info.FaultSeed = opts.Crawl.Faults.Seed()
-		}
 		o.SetInfo(info)
 	}
-	res, report, err := shard.Supervise(ctx, s.Eco, s.Config.Browser, s.detector(), opts)
+	res, report, err := shard.Supervise(ctx, s.Eco, s.Config.Browser, s.Engine, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -348,38 +317,7 @@ func (s *Study) RunSharded(ctx context.Context, opts shard.Options) (*shard.Repo
 	return report, nil
 }
 
-// RunContext is Run without options.
-//
-// Deprecated: call Run(ctx) — RunContext survives as a thin wrapper for
-// one release.
-func (s *Study) RunContext(ctx context.Context) error {
-	return s.Run(ctx)
-}
-
-// RunStream executes the fused pipeline under a raw pipeline.Options.
-//
-// Deprecated: call Run(ctx, WithStream(), ...) — functional options
-// replace the raw struct. RunStream survives as a thin wrapper for one
-// release.
-func (s *Study) RunStream(opts pipeline.Options) error {
-	//lint:allow ctxflow deprecated no-ctx wrapper, kept for one release
-	return s.RunStreamContext(context.Background(), opts)
-}
-
-// RunStreamContext is RunStream under a cancellable context.
-//
-// Deprecated: call Run(ctx, WithStream(), ...) — functional options
-// replace the raw struct. RunStreamContext survives as a thin wrapper
-// for one release.
-func (s *Study) RunStreamContext(ctx context.Context, opts pipeline.Options) error {
-	if opts.Workers == 0 {
-		opts.Workers = s.Config.Workers
-	}
-	return s.runPipeline(ctx, opts)
-}
-
-// runPipeline is the single execution path every entry point funnels
-// into: validate, stamp the observer's run manifest, run the fused
+// runPipeline is Run's execution path: validate, stamp the observer's run manifest, run the fused
 // pipeline, populate the study.
 func (s *Study) runPipeline(ctx context.Context, opts pipeline.Options) error {
 	if err := opts.Validate(); err != nil {
@@ -394,21 +332,15 @@ func (s *Study) runPipeline(ctx context.Context, opts pipeline.Options) error {
 			DetectWorkers: opts.DetectWorkers,
 			Streamed:      !opts.KeepRecords,
 		}
-		if opts.Sites != nil {
-			info.Sites = len(opts.Sites)
-		}
 		if opts.Source != nil {
 			info.Sites = opts.Source.Len()
 		}
 		if s.Eco.Faults != nil {
 			info.FaultSeed = s.Eco.Faults.Seed()
 		}
-		if opts.Faults != nil {
-			info.FaultSeed = opts.Faults.Seed()
-		}
 		o.SetInfo(info)
 	}
-	res, err := pipeline.Run(ctx, s.Eco, s.Config.Browser, s.detector(), opts)
+	res, err := pipeline.Run(ctx, s.Eco, s.Config.Browser, s.Engine, opts)
 	if err != nil {
 		return err
 	}
@@ -418,17 +350,6 @@ func (s *Study) runPipeline(ctx context.Context, opts pipeline.Options) error {
 	s.Analysis = res.Analysis
 	s.Streamed = !opts.KeepRecords
 	return nil
-}
-
-// detector returns the detector every run mode scans with: the
-// two-phase Engine when present (detect workers derive per-worker
-// Scanners from it), falling back to the legacy Detector for studies
-// assembled by hand.
-func (s *Study) detector() pipeline.Detector {
-	if s.Engine != nil {
-		return s.Engine
-	}
-	return s.Detector
 }
 
 // TotalRecords reports the captured request count, served from the
@@ -453,8 +374,8 @@ func (s *Study) mustRun() error {
 
 // Tracking runs the §5.2 persistent-tracking classification, served
 // from the result store's incremental index. Studies populated outside
-// Run/RunStream (loaded datasets, hand-built fixtures) fall back to a
-// batch classification of Leaks.
+// Run (loaded datasets, hand-built fixtures) fall back to a batch
+// classification of Leaks.
 func (s *Study) Tracking() (*tracking.Classification, error) {
 	if err := s.mustRun(); err != nil {
 		return nil, err

@@ -224,7 +224,7 @@ func BenchmarkShardMerge(b *testing.B) {
 	dir := b.TempDir()
 	ctx := context.Background()
 	for sh := 0; sh < shards; sh++ {
-		if _, err := shard.RunWorker(ctx, s.Eco, s.Config.Browser, s.Detector, shard.WorkerConfig{
+		if _, err := shard.RunWorker(ctx, s.Eco, s.Config.Browser, s.Engine, shard.WorkerConfig{
 			Shard: sh, Shards: shards, Dir: dir,
 		}); err != nil {
 			b.Fatal(err)
