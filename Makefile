@@ -31,18 +31,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Runs the full suite, then records the streaming-pipeline comparison
-# (batch vs streamed at 1/4/8 workers) as test2json event lines in
-# BENCH_pipeline.json — the repo's perf trajectory file.
+# Runs every Go micro-benchmark once. The end-to-end study benchmark
+# (wall time, CPU, allocations and live heap per site, plus per-layer
+# traces) is `python3 perfbench/run.py`; see perfbench/README.md.
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...
-	$(GO) test -json -bench '^BenchmarkPipeline$$' -benchmem -run '^$$' . > BENCH_pipeline.json
-	$(GO) test -json -bench '^BenchmarkPiilint$$' -benchmem -run '^$$' ./internal/analysis/suite > BENCH_lint.json
-	$(GO) test -json -bench '^BenchmarkWatchdog$$' -benchmem -run '^$$' . > BENCH_ctx.json
-	$(GO) test -json -bench '^BenchmarkObsOverhead$$' -benchmem -run '^$$' . > BENCH_obs.json
-	$(GO) test -json -bench '^BenchmarkShardMerge$$' -benchmem -run '^$$' . > BENCH_shard.json
-	$(GO) test -json -bench '^BenchmarkUniverse$$' -benchmem -run '^$$' ./internal/webgen/ > BENCH_universe.json
-	$(GO) test -json -bench '^Benchmark(Scan|DetectSite)$$' -benchmem -run '^$$' ./internal/detect/ > BENCH_detect.json
 
 # Short fuzz smoke for the dataset decoder hardening and the sharded
 # runtime's plan/result readers.

@@ -11,9 +11,7 @@ import (
 // BenchmarkPiilint times the full lint pass — go list, parsing,
 // type-checking against export data, and all eight analyzers — over
 // every package in the module, across the driver's operating points:
-// sequential vs parallel workers, and cold vs warm cache. `make bench`
-// records every arm in BENCH_lint.json so analyzer and scheduler cost
-// ride the same perf trajectory as the pipeline benchmarks.
+// sequential vs parallel workers, and cold vs warm cache.
 func BenchmarkPiilint(b *testing.B) {
 	root, err := analysis.ModuleRoot()
 	if err != nil {

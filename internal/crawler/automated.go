@@ -32,7 +32,8 @@ const (
 // CrawlAutomated runs the §3.2 flow the way an automated crawler would,
 // over every candidate site.
 func CrawlAutomated(eco *webgen.Ecosystem, profile browser.Profile) *Dataset {
-	ds := newDataset(eco, profile.Name+" "+profile.Version+" (automated)")
+	ds := NewDataset(eco, profile)
+	ds.Browser += " (automated)"
 	matcher := formmatch.NewMatcher()
 	b := browser.New(profile, eco.Zone)
 	for _, s := range eco.Sites {

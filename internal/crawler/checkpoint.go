@@ -24,10 +24,10 @@ type Checkpoint struct {
 	mu      sync.Mutex
 	f       *os.File
 	path    string
-	entries map[string]crawlEntry
-	order   []string // on-disk entry sequence, for the resume rewrite
-	torn    int      // non-empty lines dropped on load (crash-torn tail)
-	appends int      // lines appended this run, for the failpoint
+	entries map[string]SiteResult // sites loaded on open
+	order   []string              // loaded entry sequence, for the resume rewrite
+	torn    int                   // non-empty lines dropped on load (crash-torn tail)
+	appends int                   // lines appended this run, for the failpoint
 	closed  bool
 }
 
@@ -62,17 +62,15 @@ type checkpointHeader struct {
 const checkpointVersion = 1
 
 func headerFor(eco *webgen.Ecosystem, profile browser.Profile, shard string) checkpointHeader {
-	h := checkpointHeader{
-		Version: checkpointVersion,
-		Browser: profile.Name + " " + profile.Version,
-		Seed:    eco.Config.Seed,
-		Sites:   eco.Config.ShoppingSites,
-		Shard:   shard,
+	return checkpointHeader{
+		Version:   checkpointVersion,
+		Browser:   profile.Name + " " + profile.Version,
+		Seed:      eco.Config.Seed,
+		Sites:     eco.Config.ShoppingSites,
+		Shard:     shard,
+		FaultSeed: eco.Faults.Seed(),
+		FaultRate: eco.Faults.Rate(),
 	}
-	if inj := eco.Faults; inj != nil {
-		h.FaultSeed, h.FaultRate = inj.Seed(), inj.Rate()
-	}
-	return h
 }
 
 // String renders the header's run identity for mismatch errors.
@@ -108,7 +106,7 @@ func CheckpointShard(path string) (shard string, found bool, err error) {
 // is the run's "i/K" shard label ("" for unsharded runs) — resuming
 // across shard scopes is refused via the header check.
 func OpenCheckpoint(path string, eco *webgen.Ecosystem, profile browser.Profile, resume bool, shard string) (*Checkpoint, error) {
-	c := &Checkpoint{path: path, entries: map[string]crawlEntry{}}
+	c := &Checkpoint{path: path, entries: map[string]SiteResult{}}
 	want := headerFor(eco, profile, shard)
 
 	if resume {
@@ -196,7 +194,7 @@ func (c *Checkpoint) load(want checkpointHeader) error {
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		var e crawlEntry
+		var e SiteResult
 		if err := json.Unmarshal(line, &e); err != nil || e.Crawl.Domain == "" {
 			// A torn tail from a killed run: everything before it is
 			// good, the in-flight site re-crawls. Count what is being
@@ -227,20 +225,20 @@ func (c *Checkpoint) TornRecords() int {
 	return c.torn
 }
 
-// lookup returns a completed site's entry. Safe on a nil receiver — the
-// no-checkpoint crawl path — and for concurrent use: the streaming
-// feeder looks sites up while workers Append freshly crawled ones.
-func (c *Checkpoint) lookup(domain string) (crawlEntry, bool) {
+// lookup returns a site loaded on open. Safe on a nil receiver — the
+// no-checkpoint crawl path — and for concurrent use: the loaded entries
+// are never written after open, so the streaming feeder's lookups need
+// no lock while workers Append freshly crawled sites.
+func (c *Checkpoint) lookup(domain string) (SiteResult, bool) {
 	if c == nil {
-		return crawlEntry{}, false
+		return SiteResult{}, false
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	e, ok := c.entries[domain]
 	return e, ok
 }
 
-// Done reports how many sites the checkpoint already holds.
+// Done reports the sites loaded on open: the completed sites a resumed
+// run will not re-crawl. Sites appended since are on disk, not counted.
 func (c *Checkpoint) Done() int {
 	if c == nil {
 		return 0
@@ -249,8 +247,9 @@ func (c *Checkpoint) Done() int {
 }
 
 // Append persists one finished site. The line is written whole and
-// synced before Append returns, so progress survives a kill.
-func (c *Checkpoint) Append(e crawlEntry) error {
+// synced before Append returns, so progress survives a kill. The site
+// is not kept in memory: a run never looks up a site it crawled itself.
+func (c *Checkpoint) Append(e SiteResult) error {
 	line, err := json.Marshal(e)
 	if err != nil {
 		return fmt.Errorf("crawler: checkpoint %s: %w", c.path, err)
@@ -281,8 +280,6 @@ func (c *Checkpoint) Append(e crawlEntry) error {
 	if fp := CheckpointFailpoint; fp != nil {
 		fp("post", c.appends)
 	}
-	c.entries[e.Crawl.Domain] = e
-	c.order = append(c.order, e.Crawl.Domain)
 	return nil
 }
 

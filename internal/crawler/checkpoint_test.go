@@ -213,3 +213,28 @@ func TestCheckpointFreshRunTruncatesStaleFile(t *testing.T) {
 		t.Errorf("fresh run left %d entries, want 1", ckpt.Done())
 	}
 }
+
+// TestCheckpointAppendKeepsNoSites: appended sites go to disk only.
+// Nothing reads them back within the run — lookups hit only sites
+// loaded on open — so holding them would make every checkpointed run
+// O(N) in memory.
+func TestCheckpointAppendKeepsNoSites(t *testing.T) {
+	eco := faultyEcosystem(t, 53, 0.3)
+	path := filepath.Join(t.TempDir(), "crawl.ckpt")
+	ckpt, err := OpenCheckpoint(path, eco, browser.Firefox88(), false, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ckpt.Close()
+	for _, s := range eco.Sites[:3] {
+		if err := ckpt.Append(SiteResult{Crawl: SiteCrawl{Domain: s.Domain, Rank: s.Rank, Outcome: OutcomeSuccess}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := ckpt.Done(); n != 0 {
+		t.Errorf("Done() = %d after 3 appends to a fresh checkpoint, want 0 (sites loaded on open)", n)
+	}
+	if _, ok := ckpt.lookup(eco.Sites[0].Domain); ok {
+		t.Error("lookup found a site appended this run")
+	}
+}

@@ -155,11 +155,11 @@ func decodeDataset(r io.Reader) (*Dataset, error) {
 	return &d, nil
 }
 
-// newDataset builds an empty dataset shell: persona, browser label and
-// the zone's CNAME view.
-func newDataset(eco *webgen.Ecosystem, browserLabel string) *Dataset {
+// NewDataset returns an empty dataset frame (persona, browser label,
+// the zone's CNAME view) for merging site results into.
+func NewDataset(eco *webgen.Ecosystem, profile browser.Profile) *Dataset {
 	ds := &Dataset{
-		Browser: browserLabel,
+		Browser: profile.Name + " " + profile.Version,
 		Persona: eco.Persona,
 		Mailbox: &mailbox.Mailbox{},
 		Blocked: map[string]int{},
@@ -171,6 +171,17 @@ func newDataset(eco *webgen.Ecosystem, browserLabel string) *Dataset {
 		}
 	}
 	return ds
+}
+
+// Merge appends one site result to the dataset. Callers must merge
+// results in site order for the dataset to match a serial crawl byte
+// for byte.
+func (d *Dataset) Merge(r SiteResult) {
+	d.Crawls = append(d.Crawls, r.Crawl)
+	d.Mailbox.Messages = append(d.Mailbox.Messages, r.Mail...)
+	for recv, n := range r.Blocked {
+		d.Blocked[recv] += n
+	}
 }
 
 // crawlOne executes the flow on one site. rt is the resilient transport

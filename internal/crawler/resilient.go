@@ -276,34 +276,16 @@ func (t *faultTransport) account(c *SiteCrawl, b *browser.Browser) {
 	c.FailedFetches = b.FailedFetches
 }
 
-// crawlEntry is one site's complete progress unit: the crawl record
-// plus the mail and shield-block side effects that must travel with it
-// through checkpoints and parallel merges.
-type crawlEntry struct {
-	Crawl   SiteCrawl         `json:"crawl"`
-	Mail    []mailbox.Message `json:"mail,omitempty"`
-	Blocked map[string]int    `json:"blocked,omitempty"`
-}
-
-// merge appends an entry to the dataset in site order.
-func (d *Dataset) merge(e crawlEntry) {
-	d.Crawls = append(d.Crawls, e.Crawl)
-	d.Mailbox.Messages = append(d.Mailbox.Messages, e.Mail...)
-	for recv, n := range e.Blocked {
-		d.Blocked[recv] += n
-	}
-}
-
-// crawlEntryFor runs one site through the flow and packages the result.
+// siteResultFor runs one site through the flow and packages the result.
 // A panic anywhere in the flow is recovered here: the site is recorded
 // as OutcomeCrashed with whatever captures the browser holds, a
 // diagnostics bundle goes to the quarantine, and the crawl continues
-// with the next site.
-func crawlEntryFor(b *browser.Browser, eco *webgen.Ecosystem, s *site.Site, rt *faultTransport, q *Quarantine) (e crawlEntry) {
+// with the next site. The caller stamps the site's Index.
+func siteResultFor(b *browser.Browser, eco *webgen.Ecosystem, s *site.Site, rt *faultTransport, q *Quarantine) (r SiteResult) {
 	var mbox mailbox.Mailbox
 	defer func() {
-		if r := recover(); r != nil {
-			e = crashedEntry(b, eco, s, rt, &mbox, q, StageCrawl, r)
+		if p := recover(); p != nil {
+			r = crashedResult(b, eco, s, rt, &mbox, q, StageCrawl, p)
 		}
 	}()
 	crawl := crawlOne(b, s, eco.Persona, &mbox, rt)
@@ -313,13 +295,13 @@ func crawlEntryFor(b *browser.Browser, eco *webgen.Ecosystem, s *site.Site, rt *
 		// budget exhaustion, recorded as such with partial captures.
 		crawl.Outcome = OutcomeTimeout
 	}
-	return crawlEntry{Crawl: crawl, Mail: mbox.Messages, Blocked: b.Blocked}
+	return SiteResult{Crawl: crawl, Mail: mbox.Messages, Blocked: b.Blocked}
 }
 
-// crashedEntry packages a panicked site: the quarantined record keeps
+// crashedResult packages a panicked site: the quarantined record keeps
 // the partial captures and side effects gathered before the crash, so
 // the bundle is enough to re-run and debug the site in isolation.
-func crashedEntry(b *browser.Browser, eco *webgen.Ecosystem, s *site.Site, rt *faultTransport, mbox *mailbox.Mailbox, q *Quarantine, stage string, panicked any) crawlEntry {
+func crashedResult(b *browser.Browser, eco *webgen.Ecosystem, s *site.Site, rt *faultTransport, mbox *mailbox.Mailbox, q *Quarantine, stage string, panicked any) SiteResult {
 	crawl := SiteCrawl{
 		Domain:       s.Domain,
 		Rank:         s.Rank,
@@ -330,10 +312,6 @@ func crashedEntry(b *browser.Browser, eco *webgen.Ecosystem, s *site.Site, rt *f
 		Records:      b.Records,
 	}
 	rt.account(&crawl, b)
-	var faultSeed uint64
-	if rt != nil && rt.inj != nil {
-		faultSeed = rt.inj.Seed()
-	}
-	q.Add(BundleFor(stage, &crawl, eco.Config.Seed, faultSeed, panicked))
-	return crawlEntry{Crawl: crawl, Mail: mbox.Messages, Blocked: b.Blocked}
+	q.Add(BundleFor(stage, &crawl, eco.Config.Seed, eco.Faults.Seed(), panicked))
+	return SiteResult{Crawl: crawl, Mail: mbox.Messages, Blocked: b.Blocked}
 }

@@ -26,14 +26,13 @@ func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, op
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	ds := newDataset(eco, profile.Name+" "+profile.Version)
+	ds := NewDataset(eco, profile)
 	if opts.Workers <= 1 {
 		// Serial emissions arrive in site order, so they merge directly.
-		err := streamCrawl(ctx, eco, profile, opts, func(_ int, e crawlEntry) error {
-			ds.merge(e)
+		if err := CrawlStream(ctx, eco, profile, opts, func(r SiteResult) error {
+			ds.Merge(r)
 			return nil
-		})
-		if err != nil {
+		}); err != nil {
 			return nil, err
 		}
 		return ds, nil
@@ -41,16 +40,15 @@ func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, op
 	// Parallel emissions arrive in completion order: collect them into
 	// site-index slots, then merge in site order. Each index is emitted
 	// exactly once, so the concurrent slot writes never race.
-	results := make([]crawlEntry, opts.source(eco).Len())
-	err := streamCrawl(ctx, eco, profile, opts, func(i int, e crawlEntry) error {
-		results[i] = e
+	results := make([]SiteResult, opts.source(eco).Len())
+	if err := CrawlStream(ctx, eco, profile, opts, func(r SiteResult) error {
+		results[r.Index] = r
 		return nil
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
 	}
 	for i := range results {
-		ds.merge(results[i])
+		ds.Merge(results[i])
 	}
 	return ds, nil
 }

@@ -13,75 +13,51 @@ import (
 )
 
 // This file is the streaming crawl engine: one site-at-a-time emission
-// loop that both crawl entry points, Run and CrawlStream, are built on.
-// Run collects emissions into a Dataset; the streaming study pipeline
+// loop, CrawlStream, that the batch entry point Run is built on. Run
+// collects emissions into a Dataset; the streaming study pipeline
 // instead forwards each emission straight into detection so captures
 // never pile up.
 
-// SiteResult is one completed site crawl as emitted by CrawlStream: the
-// crawl record plus the mail and shield-block side effects that must
-// travel with it, and the site's index in the crawl order so downstream
-// consumers can reassemble deterministic output regardless of the order
-// completions arrive in.
+// SiteResult is one completed site crawl: the crawl record plus the
+// mail and shield-block side effects that must travel with it, and the
+// site's index in the crawl order so downstream consumers can
+// reassemble deterministic output regardless of the order completions
+// arrive in. It is also the checkpoint's line format; Index is not
+// written, since a resumed run re-derives it from the site order.
 type SiteResult struct {
-	Index   int
-	Crawl   SiteCrawl
-	Mail    []mailbox.Message
-	Blocked map[string]int
+	Index   int               `json:"-"`
+	Crawl   SiteCrawl         `json:"crawl"`
+	Mail    []mailbox.Message `json:"mail,omitempty"`
+	Blocked map[string]int    `json:"blocked,omitempty"`
 }
 
 // CrawlStream runs the crawl and hands each completed site to emit
 // instead of assembling a Dataset. With Workers <= 1 the crawl is
-// serial and emissions arrive in site order; with more workers, emit is
+// serial — one browser, Source.At and emit on the calling goroutine —
+// and emissions arrive in site order; with more workers, emit is
 // called from the worker goroutines in completion order and must be
 // safe for concurrent use. A blocking emit exerts backpressure: the
 // worker holds its finished site until emit returns, so a bounded
 // consumer bounds the number of captures in flight. An emit error stops
-// the crawl. Checkpointing works exactly as in Run: sites already in
-// the checkpoint are emitted without re-crawling, in site order
-// relative to each other, as the crawl reaches them. Cancelling ctx
-// stops the crawl with ctx's error; the site in flight at that moment
-// is discarded, never checkpointed or emitted.
+// the crawl. Sites already in the checkpoint are emitted without
+// re-crawling, in site order relative to each other, as the walk
+// reaches them.
 //
 // The site population comes from Options.Source (or the ecosystem's
-// universe): sites are materialized one at a time as the
-// crawl reaches them, so a lazy source is never held in memory whole.
-func CrawlStream(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, opts Options, emit func(SiteResult) error) error {
-	return streamCrawl(ctx, eco, profile, opts, func(i int, e crawlEntry) error {
-		return emit(SiteResult{Index: i, Crawl: e.Crawl, Mail: e.Mail, Blocked: e.Blocked})
-	})
-}
-
-// DatasetShell returns an empty dataset frame (persona, browser label,
-// CNAME view) for assembling streamed site results into.
-func DatasetShell(eco *webgen.Ecosystem, profile browser.Profile) *Dataset {
-	return newDataset(eco, profile.Name+" "+profile.Version)
-}
-
-// Merge appends one streamed site result to the dataset. Callers must
-// merge results in site order for the dataset to match a batch crawl
-// byte for byte.
-func (d *Dataset) Merge(r SiteResult) {
-	d.merge(crawlEntry{Crawl: r.Crawl, Mail: r.Mail, Blocked: r.Blocked})
-}
-
-// streamCrawl is the engine. opts.Workers <= 1 runs the single-browser
-// serial loop (emissions in site order); more workers run the bounded
-// pool (emissions in completion order, concurrent emit). Checkpointed
-// sites are emitted without crawling as the walk reaches them.
-//
-// The engine walks the source by index and materializes exactly one
-// site per step — the serial loop directly, the parallel path in the
-// feeding goroutine — so peak site memory is the sites held by the
-// workers plus the one being fed, never the source's length. The
-// materialization count lands in the universe-materialized gauge: for
-// a shard worker over a lazy universe it reads the shard's size.
+// universe). The engine walks the source by index and materializes
+// exactly one site per step — the serial loop directly, the parallel
+// path in the feeding goroutine — so peak site memory is the sites
+// held by the workers plus the one being fed, never the source's
+// length. The materialization count lands in the universe-materialized
+// gauge: for a shard worker over a lazy universe it reads the shard's
+// size.
 //
 // Cancellation is crash-only: a done ctx stops the loop before the next
-// site, and a site mid-crawl when cancellation lands is dropped on the
-// floor — the checkpoint then holds exactly a prefix of the
-// uninterrupted run, which is what makes resume byte-identical.
-func streamCrawl(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, opts Options, emit func(int, crawlEntry) error) error {
+// site with ctx's error, and a site mid-crawl when cancellation lands
+// is dropped on the floor, never checkpointed or emitted — the
+// checkpoint then holds exactly a prefix of the uninterrupted run,
+// which is what makes resume byte-identical.
+func CrawlStream(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, opts Options, emit func(SiteResult) error) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -119,15 +95,17 @@ func streamCrawl(ctx context.Context, eco *webgen.Ecosystem, profile browser.Pro
 			materialized++
 			s := src.At(i)
 			if e, ok := ckpt.lookup(s.Domain); ok {
+				e.Index = i
 				noteResumedSite(o, &e)
-				if err := emit(i, e); err != nil {
+				if err := emit(e); err != nil {
 					return err
 				}
 				continue
 			}
 			sp := o.StartSpan(obs.StageCrawl, s.Domain, i)
 			rt := newFaultTransport(ctx, eco, opts)
-			e := crawlEntryFor(b, eco, s, rt, opts.Quarantine)
+			e := siteResultFor(b, eco, s, rt, opts.Quarantine)
+			e.Index = i
 			if err := ctx.Err(); err != nil {
 				// Cancelled mid-site: the entry is abandoned so the
 				// checkpoint stays a clean prefix.
@@ -140,7 +118,7 @@ func streamCrawl(ctx context.Context, eco *webgen.Ecosystem, profile browser.Pro
 				o.Count(obs.MetricCheckpointAppends, 1)
 			}
 			noteCrawledSite(o, sp, rt, &e)
-			if err := emit(i, e); err != nil {
+			if err := emit(e); err != nil {
 				return err
 			}
 			b.Reset()
@@ -181,7 +159,8 @@ func streamCrawl(ctx context.Context, eco *webgen.Ecosystem, profile browser.Pro
 			for it := range next {
 				sp := o.StartSpan(obs.StageCrawl, it.site.Domain, it.index)
 				rt := newFaultTransport(ctx, eco, opts)
-				e := crawlEntryFor(b, eco, it.site, rt, opts.Quarantine)
+				e := siteResultFor(b, eco, it.site, rt, opts.Quarantine)
+				e.Index = it.index
 				if err := ctx.Err(); err != nil {
 					// Drop the in-flight entry; the checkpoint keeps
 					// only sites finished before cancellation.
@@ -196,7 +175,7 @@ func streamCrawl(ctx context.Context, eco *webgen.Ecosystem, profile browser.Pro
 					o.Count(obs.MetricCheckpointAppends, 1)
 				}
 				noteCrawledSite(o, sp, rt, &e)
-				if err := emit(it.index, e); err != nil {
+				if err := emit(e); err != nil {
 					fail(err)
 					return
 				}
@@ -228,7 +207,7 @@ type feedItem struct {
 // relative to each other, concurrently with worker emissions), the rest
 // stream to the pool. The walk stops when a worker fails or the run is
 // cancelled, then closes the feed channel.
-func feedSites(ctx context.Context, src site.Source, ckpt *Checkpoint, o *obs.Run, next chan<- feedItem, stop <-chan struct{}, fail func(error), emit func(int, crawlEntry) error, materialized *int64) {
+func feedSites(ctx context.Context, src site.Source, ckpt *Checkpoint, o *obs.Run, next chan<- feedItem, stop <-chan struct{}, fail func(error), emit func(SiteResult) error, materialized *int64) {
 feed:
 	for i := 0; i < src.Len(); i++ {
 		select {
@@ -242,8 +221,9 @@ feed:
 		*materialized++
 		s := src.At(i)
 		if e, ok := ckpt.lookup(s.Domain); ok {
+			e.Index = i
 			noteResumedSite(o, &e)
-			if err := emit(i, e); err != nil {
+			if err := emit(e); err != nil {
 				fail(err)
 				break feed
 			}
@@ -264,7 +244,7 @@ feed:
 // noteCrawledSite closes a site's crawl span and folds its outcome into
 // the counters. rt's virtual clock, when the site ran under faults,
 // supplies the span's deterministic simulated duration.
-func noteCrawledSite(o *obs.Run, sp *obs.Span, rt *faultTransport, e *crawlEntry) {
+func noteCrawledSite(o *obs.Run, sp *obs.Span, rt *faultTransport, e *SiteResult) {
 	if o == nil {
 		return
 	}
@@ -284,7 +264,7 @@ func noteCrawledSite(o *obs.Run, sp *obs.Span, rt *faultTransport, e *crawlEntry
 // noteResumedSite counts a checkpoint-loaded site: it contributes to
 // the run's totals like any other, plus the resumed-sites counter. No
 // span — the work happened in a previous process.
-func noteResumedSite(o *obs.Run, e *crawlEntry) {
+func noteResumedSite(o *obs.Run, e *SiteResult) {
 	if o == nil {
 		return
 	}
@@ -293,7 +273,7 @@ func noteResumedSite(o *obs.Run, e *crawlEntry) {
 }
 
 // noteSiteCounters folds one finished site into the crawl counters.
-func noteSiteCounters(o *obs.Run, e *crawlEntry) {
+func noteSiteCounters(o *obs.Run, e *SiteResult) {
 	o.Count(obs.MetricCrawlSites, 1)
 	o.CountKind(obs.MetricCrawlOutcome, string(e.Crawl.Outcome), 1)
 	o.Count(obs.MetricCrawlRecords, int64(len(e.Crawl.Records)))

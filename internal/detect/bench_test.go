@@ -18,7 +18,6 @@ import (
 // per-record scan (BenchmarkScan — clean records are the overwhelming
 // majority, so the no-leak path is the one that matters) and the
 // per-site batch (BenchmarkDetectSite, over a real crawled ecosystem).
-// `make bench` records them in BENCH_detect.json.
 
 func benchEngine(b *testing.B) *Engine {
 	b.Helper()

@@ -182,11 +182,23 @@ func New(cfg Config) *Injector {
 	return &Injector{cfg: cfg.withDefaults()}
 }
 
-// Seed returns the injector's fault seed.
-func (in *Injector) Seed() uint64 { return in.cfg.Seed }
+// Seed returns the injector's fault seed; 0 on a nil injector, the
+// fault-free run.
+func (in *Injector) Seed() uint64 {
+	if in == nil {
+		return 0
+	}
+	return in.cfg.Seed
+}
 
-// Rate returns the fraction of hosts the injector makes faulty.
-func (in *Injector) Rate() float64 { return in.cfg.Rate }
+// Rate returns the fraction of hosts the injector makes faulty; 0 on a
+// nil injector.
+func (in *Injector) Rate() float64 {
+	if in == nil {
+		return 0
+	}
+	return in.cfg.Rate
+}
 
 // mix64 is splitmix64's finalizer — a cheap, well-distributed hash.
 func mix64(x uint64) uint64 {

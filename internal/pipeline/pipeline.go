@@ -3,19 +3,21 @@
 // bounded channel; detect workers scan each capture as it arrives and
 // release the records immediately afterwards (keeping only the reduced
 // request index the §7.2 blocklist evaluation needs); a single
-// accumulation goroutine folds the resulting leaks into the shared
-// Result store — the §4.2 analysis indexes, the §5 tracking index and
-// the §6 policy-audit sender set — in one pass. Peak memory is bounded
-// by the number of captures in flight (crawl workers + channel buffer +
-// detect workers) instead of the whole crawl.
+// accumulation goroutine hands each site's SiteOut to the study's one
+// Fold, which folds the leaks into the shared Result store — the §4.2
+// analysis indexes, the §5 tracking index and the §6 policy-audit
+// sender set — in one pass. The sharded runtime's merge runs the same
+// Fold over the shards' SiteOuts. Peak memory is bounded by the number
+// of captures in flight (crawl workers + channel buffer + detect
+// workers) instead of the whole crawl.
 //
-// Determinism: per-site leaks are collected in site-index slots and
-// concatenated in site order at the end, detection runs only on
-// successful crawls (exactly the batch path's Successes loop), and
-// every accumulated aggregate is a set — so batch, streamed-serial,
-// streamed-parallel and checkpoint-resumed runs produce byte-identical
-// leak output and identical table numbers regardless of completion
-// order.
+// Determinism: the Fold parks each SiteOut in its site-index slot and
+// assembles leaks and dataset in site order at the end, detection runs
+// only on successful crawls (exactly the batch path's Successes loop),
+// and every accumulated aggregate is a set — so batch, streamed-serial,
+// streamed-parallel, checkpoint-resumed and sharded runs produce
+// byte-identical leak output and identical table numbers regardless of
+// completion order.
 package pipeline
 
 import (
@@ -28,6 +30,7 @@ import (
 	"piileak/internal/crawler"
 	"piileak/internal/detect"
 	"piileak/internal/httpmodel"
+	"piileak/internal/mailbox"
 	"piileak/internal/obs"
 	"piileak/internal/tracking"
 	"piileak/internal/webgen"
@@ -54,9 +57,6 @@ type Options struct {
 	// DetectWorkers sets the detection stage's parallelism; <= 0 means
 	// one worker.
 	DetectWorkers int
-	// Buffer is the capture channel's capacity; <= 0 selects 2. Together
-	// with the worker counts it bounds the captures in flight.
-	Buffer int
 	// KeepRecords retains full captures in the assembled dataset (the
 	// batch-compatible mode Study.Run uses). When false, records are
 	// released after detection and the dataset is thin.
@@ -64,14 +64,19 @@ type Options struct {
 	// Progress, when set, receives per-stage completion events. It is
 	// never called concurrently.
 	Progress func(Event)
-	// Sink, when set, receives every site's final output — crawl
-	// record (thinned unless KeepRecords), side effects, leaks and the
-	// reduced request list — in site order, after accumulation
-	// finishes. It is the shard runtime's extraction point: a shard
-	// worker collects SiteOuts to serialize per-site results for the
-	// verified merge. Never called concurrently.
+	// Sink, when set, receives every site's SiteOut in site order,
+	// after accumulation finishes. It is the shard runtime's extraction
+	// point: a shard worker writes the SiteOuts to its result file for
+	// the verified merge. Never called concurrently.
 	Sink func(SiteOut)
 }
+
+// captureBuffer is the capacity of the crawl→detect and
+// detect→accumulate channels. With the worker counts it bounds the
+// captures in flight: crawl workers + captureBuffer + detect workers.
+// Two lets a finished crawl hand off while every detect worker is
+// busy, without letting captures pile up.
+const captureBuffer = 2
 
 // Validate rejects contradictory or nonsensical settings, delegating
 // the crawl-level checks to the embedded crawler.Options.
@@ -84,9 +89,6 @@ func (o Options) Validate() error {
 	}
 	if o.DetectWorkers < 0 {
 		return fmt.Errorf("pipeline: negative DetectWorkers %d", o.DetectWorkers)
-	}
-	if o.Buffer < 0 {
-		return fmt.Errorf("pipeline: negative Buffer %d", o.Buffer)
 	}
 	return nil
 }
@@ -107,21 +109,29 @@ type Event struct {
 	Leaks int
 }
 
-// SiteOut is one site's complete pipeline output as delivered to
-// Options.Sink: the (possibly thinned) crawl result with its mail and
-// shield-block side effects, the detected leaks, the reduced request
-// list (leaky sites only), and the pre-release record count.
+// SiteOut is one site's complete pipeline output: the (possibly
+// thinned) crawl record with its mail and shield-block side effects,
+// the pre-release record count, the detected leaks, and the reduced
+// request list (leaky sites only). It travels from detection to the
+// Fold, reaches Options.Sink, and is the shard result file's line
+// format, so its fields, their order and their JSON tags are an
+// on-disk format. Index is the site's index in the run's site list —
+// the global ranked index in a shard result file.
 type SiteOut struct {
-	// Result is the site's crawl output; Result.Index is its index in
-	// the run's site list.
-	Result crawler.SiteResult
-	// Leaks are the site's detected leaks, in detection order.
-	Leaks []core.Leak
-	// Requests is the reduced request list when the site leaked (the
-	// §7.2 evaluation's retained state); nil otherwise.
-	Requests []httpmodel.IndexedRequest
-	// Records is the site's captured request count before any release.
-	Records int
+	Index    int                        `json:"index"`
+	Crawl    crawler.SiteCrawl          `json:"crawl"`
+	Mail     []mailbox.Message          `json:"mail,omitempty"`
+	Blocked  map[string]int             `json:"blocked,omitempty"`
+	Records  int                        `json:"records,omitempty"`
+	Leaks    []core.Leak                `json:"leaks,omitempty"`
+	Requests []httpmodel.IndexedRequest `json:"requests,omitempty"`
+}
+
+// released reports whether the site's records were dropped after
+// detection: it captured some, and the crawl record no longer holds
+// them.
+func (s *SiteOut) released() bool {
+	return s.Records > 0 && len(s.Crawl.Records) == 0
 }
 
 // Stats carries a finished run's counters.
@@ -133,9 +143,10 @@ type Stats struct {
 	Leaks int
 	// CaptureHighWater is the maximum number of record-bearing captures
 	// simultaneously in flight — the pipeline's memory bound. Zero when
-	// KeepRecords kept every capture alive.
+	// KeepRecords kept every capture alive, and in a shard merge.
 	CaptureHighWater int
-	// Released counts sites whose records were dropped after detection.
+	// Released counts sites whose records were dropped after detection:
+	// sites that captured records and no longer hold them.
 	Released int
 }
 
@@ -167,33 +178,107 @@ type Result struct {
 	Stats Stats
 }
 
-// siteOutput is one site after detection: the (possibly thinned) crawl
-// result, its leaks, the reduced request list when the site leaked, and
-// the pre-release record count.
-type siteOutput struct {
-	res     crawler.SiteResult
-	leaks   []core.Leak
-	reqs    []httpmodel.IndexedRequest
+// Fold is the study's accumulate stage: the one place per-site outputs
+// become the shared Result store. Add takes sites in any order —
+// completion order in the pipeline, shard by shard in the merge —
+// folding each site's leaks into the §4.2 accumulator, the §5 tracking
+// index, the §6 sender set and the §7.2 request index as it arrives,
+// and parking the SiteOut in its site-index slot. Result then walks the
+// slots in site order to assemble the leak list and the dataset, so
+// the output is independent of arrival order. A Fold is not safe for
+// concurrent use.
+type Fold struct {
+	eco     *webgen.Ecosystem
+	profile browser.Profile
+	slots   []SiteOut // by site index; an empty Crawl.Domain is an unfilled slot
+	acc     *core.Accumulator
+	trk     *tracking.Index
+	reqs    *httpmodel.RequestIndex
 	records int
+	stats   Stats
+}
+
+// NewFold returns an empty fold over a population of sites sites.
+func NewFold(eco *webgen.Ecosystem, profile browser.Profile, sites int) *Fold {
+	return &Fold{
+		eco:     eco,
+		profile: profile,
+		slots:   make([]SiteOut, sites),
+		acc:     core.NewAccumulator(),
+		trk:     tracking.NewIndex(),
+		reqs:    httpmodel.NewRequestIndex(),
+	}
+}
+
+// Add folds one site into the aggregates and parks it in slot
+// out.Index. Each index must be added at most once.
+func (f *Fold) Add(out SiteOut) {
+	f.slots[out.Index] = out
+	for i := range out.Leaks {
+		l := &out.Leaks[i]
+		f.acc.Add(l)
+		f.trk.Add(l)
+	}
+	if out.Requests != nil {
+		f.reqs.AddReduced(out.Crawl.Domain, out.Requests)
+	}
+	if out.Crawl.Outcome == crawler.OutcomeSuccess {
+		f.acc.AddSites(1)
+		f.stats.Successes++
+	}
+	if out.released() {
+		f.stats.Released++
+	}
+	f.records += out.Records
+	f.stats.Sites++
+	f.stats.Leaks += len(out.Leaks)
+}
+
+// Result assembles the study store from the sites added so far, in
+// site order; unfilled slots are skipped. The Result holds no reference
+// to the slot array, so dropping the Fold frees it.
+func (f *Fold) Result() *Result {
+	ds := crawler.NewDataset(f.eco, f.profile)
+	var leaks []core.Leak
+	if f.stats.Sites > 0 {
+		ds.Crawls = make([]crawler.SiteCrawl, 0, f.stats.Sites)
+	}
+	if f.stats.Leaks > 0 {
+		leaks = make([]core.Leak, 0, f.stats.Leaks)
+	}
+	for i := range f.slots {
+		out := &f.slots[i]
+		if out.Crawl.Domain == "" {
+			continue
+		}
+		ds.Merge(crawler.SiteResult{Index: out.Index, Crawl: out.Crawl, Mail: out.Mail, Blocked: out.Blocked})
+		leaks = append(leaks, out.Leaks...)
+	}
+	return &Result{
+		Leaks:        leaks,
+		Analysis:     f.acc.Finalize(leaks),
+		Tracking:     f.trk,
+		Senders:      f.acc.SenderSet(),
+		Requests:     f.reqs,
+		Dataset:      ds,
+		TotalRecords: f.records,
+		Stats:        f.stats,
+	}
 }
 
 // detectGuarded runs detection on one capture with panic isolation: a
 // detector that blows up on a poison site loses that site (recorded as
 // OutcomeCrashed and quarantined with its stack), not the study.
-func detectGuarded(det Detector, out *siteOutput, eco *webgen.Ecosystem, copts crawler.Options) {
+func detectGuarded(det Detector, out *SiteOut, eco *webgen.Ecosystem, copts crawler.Options) {
 	defer func() {
 		if r := recover(); r != nil {
-			out.leaks = nil
-			out.res.Crawl.Outcome = crawler.OutcomeCrashed
-			var faultSeed uint64
-			if eco.Faults != nil {
-				faultSeed = eco.Faults.Seed()
-			}
-			copts.Quarantine.Add(crawler.BundleFor(crawler.StageDetect, &out.res.Crawl, eco.Config.Seed, faultSeed, r))
+			out.Leaks = nil
+			out.Crawl.Outcome = crawler.OutcomeCrashed
+			copts.Quarantine.Add(crawler.BundleFor(crawler.StageDetect, &out.Crawl, eco.Config.Seed, eco.Faults.Seed(), r))
 			copts.Obs.CountKind(obs.MetricQuarantined, crawler.StageDetect, 1)
 		}
 	}()
-	out.leaks = det.DetectSite(out.res.Crawl.Domain, out.res.Crawl.Records)
+	out.Leaks = det.DetectSite(out.Crawl.Domain, out.Crawl.Records)
 }
 
 // Run executes the fused crawl+detect+accumulate pipeline and returns
@@ -219,10 +304,6 @@ func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, de
 	if detectWorkers <= 0 {
 		detectWorkers = 1
 	}
-	buffer := opts.Buffer
-	if buffer <= 0 {
-		buffer = 2
-	}
 
 	var (
 		progressMu sync.Mutex
@@ -238,8 +319,8 @@ func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, de
 	}
 
 	var g obs.Watermark
-	captures := make(chan crawler.SiteResult, buffer)
-	outputs := make(chan siteOutput, buffer)
+	captures := make(chan crawler.SiteResult, captureBuffer)
+	outputs := make(chan SiteOut, captureBuffer)
 
 	// Stage 1: crawl. Emissions block on the captures channel, which is
 	// the backpressure that bounds the pipeline's in-flight state. The
@@ -282,18 +363,18 @@ func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, de
 			}
 			for r := range captures {
 				sp := o.StartSpan(obs.StageDetect, r.Crawl.Domain, r.Index)
-				out := siteOutput{res: r, records: len(r.Crawl.Records)}
+				out := SiteOut{Index: r.Index, Crawl: r.Crawl, Mail: r.Mail, Blocked: r.Blocked, Records: len(r.Crawl.Records)}
 				if r.Crawl.Outcome == crawler.OutcomeSuccess {
 					detectGuarded(wdet, &out, eco, copts)
 				}
-				if len(out.leaks) > 0 {
-					out.reqs = httpmodel.ReduceRecords(r.Crawl.Records)
+				if len(out.Leaks) > 0 {
+					out.Requests = httpmodel.ReduceRecords(r.Crawl.Records)
 				}
 				if !opts.KeepRecords {
-					out.res.Crawl.Records = nil
+					out.Crawl.Records = nil
 				}
 				g.Dec()
-				sp.SetN(len(out.leaks))
+				sp.SetN(len(out.Leaks))
 				sp.End()
 				outputs <- out
 			}
@@ -305,106 +386,42 @@ func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, de
 	}()
 
 	// Stage 3: accumulate — the single goroutine (this one) that owns
-	// the shared store. Per-site leaks land in site-index slots so the
-	// final concatenation is in site order no matter when each site
-	// finished.
-	acc := core.NewAccumulator()
-	trk := tracking.NewIndex()
-	reqIx := httpmodel.NewRequestIndex()
-	leaksBySite := make([][]core.Leak, total)
-	results := make([]crawler.SiteResult, total)
-	var reqsBySite [][]httpmodel.IndexedRequest
-	var recordsBySite []int
-	if opts.Sink != nil {
-		reqsBySite = make([][]httpmodel.IndexedRequest, total)
-		recordsBySite = make([]int, total)
-	}
-	stats := Stats{}
-	totalRecords := 0
-	detected := 0
-	leakCount := 0
+	// the fold; it adds sites in completion order.
+	fold := NewFold(eco, profile, total)
 	for out := range outputs {
-		ap := o.StartSpan(obs.StageAccumulate, out.res.Crawl.Domain, out.res.Index)
-		results[out.res.Index] = out.res
-		leaksBySite[out.res.Index] = out.leaks
-		for i := range out.leaks {
-			l := &out.leaks[i]
-			acc.Add(l)
-			trk.Add(l)
-		}
-		if out.reqs != nil {
-			reqIx.AddReduced(out.res.Crawl.Domain, out.reqs)
-		}
-		if opts.Sink != nil {
-			reqsBySite[out.res.Index] = out.reqs
-			recordsBySite[out.res.Index] = out.records
-		}
-		if out.res.Crawl.Outcome == crawler.OutcomeSuccess {
-			acc.AddSites(1)
-			stats.Successes++
-		}
-		if !opts.KeepRecords && out.records > 0 {
-			stats.Released++
+		ap := o.StartSpan(obs.StageAccumulate, out.Crawl.Domain, out.Index)
+		fold.Add(out)
+		if out.released() {
 			o.Count(obs.MetricReleased, 1)
 		}
-		totalRecords += out.records
-		leakCount += len(out.leaks)
-		detected++
 		o.Count(obs.MetricDetectSites, 1)
-		o.Count(obs.MetricDetectLeaks, int64(len(out.leaks)))
-		o.Observe(obs.HistSiteLeaks, int64(len(out.leaks)))
-		ap.SetN(len(out.leaks))
+		o.Count(obs.MetricDetectLeaks, int64(len(out.Leaks)))
+		o.Observe(obs.HistSiteLeaks, int64(len(out.Leaks)))
+		ap.SetN(len(out.Leaks))
 		ap.End()
-		emitEvent(Event{Stage: "detect", Done: detected, Total: total, Site: out.res.Crawl.Domain, Leaks: leakCount})
+		emitEvent(Event{Stage: "detect", Done: fold.stats.Sites, Total: total, Site: out.Crawl.Domain, Leaks: fold.stats.Leaks})
 	}
 	if crawlErr != nil {
 		return nil, crawlErr
 	}
 
-	var leaks []core.Leak
-	for _, ls := range leaksBySite {
-		leaks = append(leaks, ls...)
-	}
-	ds := crawler.DatasetShell(eco, profile)
-	for i := range results {
-		ds.Merge(results[i])
-	}
 	if opts.Sink != nil {
 		// Site order, like every other deterministic output — the sink
 		// sees the run exactly as the dataset records it, regardless of
 		// the order sites completed in.
-		for i := range results {
-			opts.Sink(SiteOut{
-				Result:   results[i],
-				Leaks:    leaksBySite[i],
-				Requests: reqsBySite[i],
-				Records:  recordsBySite[i],
-			})
+		for i := range fold.slots {
+			opts.Sink(fold.slots[i])
 		}
 	}
-
-	stats.Sites = total
-	stats.Leaks = len(leaks)
-	stats.CaptureHighWater = int(g.High())
-	if opts.KeepRecords {
-		stats.CaptureHighWater = 0
-	} else {
+	res := fold.Result()
+	if !opts.KeepRecords {
 		// Streamed runs export the memory bound. It is the registry's one
 		// scheduler-dependent value (a bound, not an exact replay) in
 		// parallel runs, so batch mode omits it entirely. Ratcheted, not
 		// set: a sharded study's workers share one observer, and the
 		// study-wide bound is the worst shard's.
+		res.Stats.CaptureHighWater = int(g.High())
 		o.GaugeMax(obs.MetricCaptureHighWater, g.High())
 	}
-
-	return &Result{
-		Leaks:        leaks,
-		Analysis:     acc.Finalize(leaks),
-		Tracking:     trk,
-		Senders:      acc.SenderSet(),
-		Requests:     reqIx,
-		Dataset:      ds,
-		TotalRecords: totalRecords,
-		Stats:        stats,
-	}, nil
+	return res, nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"piileak/internal/crawler"
+	"piileak/internal/pipeline"
 )
 
 // fuzzResultBytes builds a small, fully-valid shard result file in
@@ -14,7 +15,7 @@ import (
 // truncates and corrupts.
 func fuzzResultBytes(f *testing.F) []byte {
 	f.Helper()
-	recs := []SiteRecord{
+	recs := []pipeline.SiteOut{
 		{Index: 0, Crawl: crawler.SiteCrawl{Domain: "a.example", Outcome: crawler.OutcomeSuccess}, Records: 3},
 		{Index: 2, Crawl: crawler.SiteCrawl{Domain: "c.example", Outcome: crawler.OutcomeUnreachable}},
 		{Index: 4, Crawl: crawler.SiteCrawl{Domain: "e.example", Outcome: crawler.OutcomeSuccess}, Records: 1},

@@ -74,24 +74,15 @@ func NewPlan(eco *webgen.Ecosystem, shards int) (*Plan, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("shard: ecosystem has no sites to partition")
 	}
-	p := &Plan{
+	return &Plan{
 		Schema:     PlanSchema,
 		EcoSeed:    eco.Config.Seed,
+		FaultSeed:  eco.Faults.Seed(),
+		FaultRate:  eco.Faults.Rate(),
 		Shards:     shards,
 		Universe:   n,
 		Interleave: planInterleave,
-	}
-	p.FaultSeed, p.FaultRate = faultConfig(eco)
-	return p, nil
-}
-
-// faultConfig is the ecosystem's resolved fault seed and rate; both
-// zero when fault injection is off.
-func faultConfig(eco *webgen.Ecosystem) (seed uint64, rate float64) {
-	if eco.Faults == nil {
-		return 0, 0
-	}
-	return eco.Faults.Seed(), eco.Faults.Rate()
+	}, nil
 }
 
 // Size is the number of sites shard covers under the interleave:
@@ -165,11 +156,10 @@ func (p *Plan) Verify(eco *webgen.Ecosystem) error {
 	if p.EcoSeed != eco.Config.Seed {
 		return fmt.Errorf("shard: plan eco seed %d, ecosystem has %d", p.EcoSeed, eco.Config.Seed)
 	}
-	faultSeed, faultRate := faultConfig(eco)
-	if p.FaultSeed != faultSeed {
+	if faultSeed := eco.Faults.Seed(); p.FaultSeed != faultSeed {
 		return fmt.Errorf("shard: plan fault seed %d, ecosystem has %d", p.FaultSeed, faultSeed)
 	}
-	if p.FaultRate != faultRate {
+	if faultRate := eco.Faults.Rate(); p.FaultRate != faultRate {
 		return fmt.Errorf("shard: plan fault rate %g, ecosystem has %g", p.FaultRate, faultRate)
 	}
 	if n := eco.Universe().Len(); p.Universe != n {

@@ -9,29 +9,11 @@ import (
 	"os"
 	"path/filepath"
 
-	"piileak/internal/core"
-	"piileak/internal/crawler"
-	"piileak/internal/httpmodel"
-	"piileak/internal/mailbox"
+	"piileak/internal/pipeline"
 )
 
 // ResultSchema versions the shard result file layout.
 const ResultSchema = 1
-
-// SiteRecord is one site's complete pipeline output in serialized
-// form: everything the merge needs to reconstruct the unsharded study's
-// per-site state. Index is the site's GLOBAL index in the ranked list,
-// not its position within the shard — the merge re-interleaves records
-// by it.
-type SiteRecord struct {
-	Index   int                        `json:"index"`
-	Crawl   crawler.SiteCrawl          `json:"crawl"`
-	Mail    []mailbox.Message          `json:"mail,omitempty"`
-	Blocked map[string]int             `json:"blocked,omitempty"`
-	Records int                        `json:"records,omitempty"`
-	Leaks   []core.Leak                `json:"leaks,omitempty"`
-	Reqs    []httpmodel.IndexedRequest `json:"requests,omitempty"`
-}
 
 // Manifest is a shard result file's header line: the run identity that
 // ties the file to its plan, the shard coordinates, summary counts, and
@@ -55,10 +37,13 @@ type Manifest struct {
 }
 
 // Result is one shard's loaded output: the verified manifest plus the
-// site records in ascending global-index order.
+// site lines in ascending global-index order. A site line is the
+// pipeline's per-site output, pipeline.SiteOut, with Index the site's
+// GLOBAL index in the ranked list, not its position within the shard —
+// the merge re-interleaves sites by it.
 type Result struct {
 	Manifest Manifest
-	Records  []SiteRecord
+	Records  []pipeline.SiteOut
 }
 
 // ResultPath is shard s-of-K's result file under a shard directory.
@@ -77,7 +62,7 @@ func CheckpointPath(dir string, shard, shards int) string {
 // The whole file is written atomically (temp + rename), so a killed
 // worker leaves either its previous complete result or none — never a
 // torn one the merge could half-trust.
-func WriteResult(path string, m Manifest, recs []SiteRecord) error {
+func WriteResult(path string, m Manifest, recs []pipeline.SiteOut) error {
 	var body bytes.Buffer
 	enc := json.NewEncoder(&body)
 	for i := range recs {
@@ -141,10 +126,10 @@ func parseResult(path string, data []byte) (*Result, error) {
 		return nil, fmt.Errorf("shard: result %s: content digest %s does not match manifest %s — refusing to merge", path, got, m.Digest)
 	}
 
-	recs := make([]SiteRecord, 0, m.Sites)
+	recs := make([]pipeline.SiteOut, 0, m.Sites)
 	dec := json.NewDecoder(bytes.NewReader(body))
 	for dec.More() {
-		var r SiteRecord
+		var r pipeline.SiteOut
 		if err := dec.Decode(&r); err != nil {
 			return nil, fmt.Errorf("shard: result %s: site record %d: %w", path, len(recs), err)
 		}

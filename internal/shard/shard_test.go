@@ -330,7 +330,7 @@ func TestResultRejectsTampering(t *testing.T) {
 	// of order, or filed under the wrong shard. WriteResult recomputes
 	// the digest, so only the structural checks can catch these.
 	if len(good.Records) >= 2 {
-		swapped := append([]SiteRecord(nil), good.Records...)
+		swapped := append([]pipeline.SiteOut(nil), good.Records...)
 		swapped[0], swapped[1] = swapped[1], swapped[0]
 		p := ResultPath(dir, 0, 2) + ".swapped"
 		if err := WriteResult(p, good.Manifest, swapped); err != nil {
@@ -497,7 +497,7 @@ func TestMergeRejectsMismatchedResults(t *testing.T) {
 	}
 
 	liar := *r0
-	liar.Records = append([]SiteRecord(nil), r0.Records...)
+	liar.Records = append([]pipeline.SiteOut(nil), r0.Records...)
 	liar.Records[0].Crawl.Domain = "impostor.example"
 	if _, _, err := Merge(eco, profile, plan, []*Result{&liar, r1}); err == nil {
 		t.Error("record with a contradicting domain merged")

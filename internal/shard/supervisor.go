@@ -32,9 +32,8 @@ type Options struct {
 	// Dir is the shard working directory: plan.json, per-shard
 	// checkpoints and results, and report.json all live here.
 	Dir string
-	// Workers/DetectWorkers/Buffer are each shard worker's pipeline
-	// knobs.
-	Workers, DetectWorkers, Buffer int
+	// Workers/DetectWorkers are each shard worker's pipeline knobs.
+	Workers, DetectWorkers int
 	// Crawl carries the base crawl options handed to every worker —
 	// transport policy, site timeout. Source, checkpoint and shard
 	// fields are owned by the runtime and overwritten per worker; faults
@@ -333,7 +332,6 @@ func runAttempt(ctx context.Context, eco *webgen.Ecosystem, profile browser.Prof
 		Dir:           opts.Dir,
 		Workers:       opts.Workers,
 		DetectWorkers: opts.DetectWorkers,
-		Buffer:        opts.Buffer,
 		Options:       crawlOpts,
 		QuarantineDir: opts.QuarantineDir,
 		QuarantineMax: opts.QuarantineMax,

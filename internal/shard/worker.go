@@ -20,9 +20,9 @@ type WorkerConfig struct {
 	// Dir is the shard directory holding the worker's checkpoint and
 	// result file.
 	Dir string
-	// Workers/DetectWorkers/Buffer are the per-shard pipeline knobs,
-	// passed through to pipeline.Options.
-	Workers, DetectWorkers, Buffer int
+	// Workers/DetectWorkers are the per-shard pipeline knobs, passed
+	// through to pipeline.Options.
+	Workers, DetectWorkers int
 	// Options carries the remaining crawl knobs — policy, site timeout,
 	// observer. Source, CheckpointPath, Resume, Shard/Shards and
 	// Quarantine are owned by the worker and overwritten. Faults come
@@ -96,11 +96,7 @@ func RunWorker(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profi
 		return "", fmt.Errorf("shard: shard %d of %d is empty (universe %d)", cfg.Shard, cfg.Shards, universe.Len())
 	}
 
-	opts := pipeline.Options{
-		DetectWorkers: cfg.DetectWorkers,
-		Buffer:        cfg.Buffer,
-	}
-	opts.Options = cfg.Options
+	opts := pipeline.Options{Options: cfg.Options, DetectWorkers: cfg.DetectWorkers}
 	opts.Workers = cfg.Workers
 	opts.Shard, opts.Shards = cfg.Shard, cfg.Shards
 	opts.Source = src
@@ -112,18 +108,11 @@ func RunWorker(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profi
 	opts.KeepRecords = false
 
 	// Collect per-site outputs — the sink sees them in local site order,
-	// and local position j maps back to global index Shard + j*Shards.
-	recs := make([]SiteRecord, 0, src.Len())
+	// and local index j maps back to global index Shard + j*Shards.
+	recs := make([]pipeline.SiteOut, 0, src.Len())
 	opts.Sink = func(out pipeline.SiteOut) {
-		recs = append(recs, SiteRecord{
-			Index:   cfg.Shard + out.Result.Index*cfg.Shards,
-			Crawl:   out.Result.Crawl,
-			Mail:    out.Result.Mail,
-			Blocked: out.Result.Blocked,
-			Records: out.Records,
-			Leaks:   out.Leaks,
-			Reqs:    out.Requests,
-		})
+		out.Index = cfg.Shard + out.Index*cfg.Shards
+		recs = append(recs, out)
 	}
 
 	if cfg.QuarantineDir != "" {
@@ -140,13 +129,13 @@ func RunWorker(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profi
 	}
 
 	m := Manifest{
-		EcoSeed:  eco.Config.Seed,
-		Browser:  profile.Name + " " + profile.Version,
-		Shards:   cfg.Shards,
-		Shard:    cfg.Shard,
-		Universe: universe.Len(),
+		EcoSeed:   eco.Config.Seed,
+		Browser:   profile.Name + " " + profile.Version,
+		Shards:    cfg.Shards,
+		Shard:     cfg.Shard,
+		Universe:  universe.Len(),
+		FaultSeed: eco.Faults.Seed(),
 	}
-	m.FaultSeed, _ = faultConfig(eco)
 	path := ResultPath(cfg.Dir, cfg.Shard, cfg.Shards)
 	if err := WriteResult(path, m, recs); err != nil {
 		return "", err

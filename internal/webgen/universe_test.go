@@ -183,8 +183,7 @@ func TestUniverseAtPanicsOutOfRange(t *testing.T) {
 }
 
 // BenchmarkUniverse measures lazy tail materialization: sites/sec and
-// allocations per derived site. make bench records it as
-// BENCH_universe.json.
+// allocations per derived site.
 func BenchmarkUniverse(b *testing.B) {
 	eco, err := Generate(func() Config { c := SmallConfig(19); c.UniverseSize = 1_000_000; return c }())
 	if err != nil {

@@ -290,21 +290,13 @@ func (s *Study) Run(ctx context.Context, options ...RunOption) error {
 // (Report.Partial, Report.Missing). The study is always marked
 // Streamed — shard workers release captures after detection.
 func (s *Study) RunSharded(ctx context.Context, opts shard.Options) (*shard.Report, error) {
-	if o := opts.Obs; o != nil {
-		info := obs.RunInfo{
-			EcoSeed:       s.Eco.Config.Seed,
-			Browser:       s.Config.Browser.Name + " " + s.Config.Browser.Version,
-			Sites:         s.Eco.Universe().Len(),
-			CrawlWorkers:  opts.Workers,
-			DetectWorkers: opts.DetectWorkers,
-			Streamed:      true,
-			Shards:        opts.Shards,
-		}
-		if s.Eco.Faults != nil {
-			info.FaultSeed = s.Eco.Faults.Seed()
-		}
-		o.SetInfo(info)
-	}
+	s.stampRun(opts.Obs, obs.RunInfo{
+		Sites:         s.Eco.Universe().Len(),
+		CrawlWorkers:  opts.Workers,
+		DetectWorkers: opts.DetectWorkers,
+		Streamed:      true,
+		Shards:        opts.Shards,
+	})
 	res, report, err := shard.Supervise(ctx, s.Eco, s.Config.Browser, s.Engine, opts)
 	if err != nil {
 		return nil, err
@@ -323,23 +315,16 @@ func (s *Study) runPipeline(ctx context.Context, opts pipeline.Options) error {
 	if err := opts.Validate(); err != nil {
 		return err
 	}
-	if o := opts.Obs; o != nil {
-		info := obs.RunInfo{
-			EcoSeed:       s.Eco.Config.Seed,
-			Browser:       s.Config.Browser.Name + " " + s.Config.Browser.Version,
-			Sites:         s.Eco.Universe().Len(),
-			CrawlWorkers:  opts.Workers,
-			DetectWorkers: opts.DetectWorkers,
-			Streamed:      !opts.KeepRecords,
-		}
-		if opts.Source != nil {
-			info.Sites = opts.Source.Len()
-		}
-		if s.Eco.Faults != nil {
-			info.FaultSeed = s.Eco.Faults.Seed()
-		}
-		o.SetInfo(info)
+	src := opts.Source
+	if src == nil {
+		src = s.Eco.Universe()
 	}
+	s.stampRun(opts.Obs, obs.RunInfo{
+		Sites:         src.Len(),
+		CrawlWorkers:  opts.Workers,
+		DetectWorkers: opts.DetectWorkers,
+		Streamed:      !opts.KeepRecords,
+	})
 	res, err := pipeline.Run(ctx, s.Eco, s.Config.Browser, s.Engine, opts)
 	if err != nil {
 		return err
@@ -350,6 +335,19 @@ func (s *Study) runPipeline(ctx context.Context, opts pipeline.Options) error {
 	s.Analysis = res.Analysis
 	s.Streamed = !opts.KeepRecords
 	return nil
+}
+
+// stampRun records a run's manifest on the observer: the study's
+// identity (ecosystem seed, browser, fault seed) completed onto the
+// caller's run shape. A nil observer records nothing.
+func (s *Study) stampRun(o *obs.Run, info obs.RunInfo) {
+	if o == nil {
+		return
+	}
+	info.EcoSeed = s.Eco.Config.Seed
+	info.Browser = s.Config.Browser.Name + " " + s.Config.Browser.Version
+	info.FaultSeed = s.Eco.Faults.Seed()
+	o.SetInfo(info)
 }
 
 // TotalRecords reports the captured request count, served from the

@@ -214,7 +214,7 @@ func TestShardedRunsByteIdentical(t *testing.T) {
 // BenchmarkShardMerge measures the verified merge itself: K shard
 // results, already crawled and digest-verified, folded back into one
 // study result. This is the fixed per-run cost sharding adds over the
-// crawl, and the number BENCH_shard.json tracks.
+// crawl.
 func BenchmarkShardMerge(b *testing.B) {
 	const shards = 4
 	s, err := NewStudy(shardedConfig(41))
