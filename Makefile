@@ -37,12 +37,15 @@ race:
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...
 
-# Short fuzz smoke for the dataset decoder hardening and the sharded
-# runtime's plan/result readers.
+# Short fuzz smoke for the dataset decoder hardening, the sharded
+# runtime's plan/result readers, and the PSL walk (invariants, and the
+# differential check against the Split/Join oracle).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadJSON -fuzztime 10s ./internal/crawler/
 	$(GO) test -run '^$$' -fuzz FuzzParsePlan -fuzztime 10s ./internal/shard/
 	$(GO) test -run '^$$' -fuzz FuzzParseResult -fuzztime 10s ./internal/shard/
+	$(GO) test -run '^$$' -fuzz FuzzPublicSuffix -fuzztime 10s ./internal/psl/
+	$(GO) test -run '^$$' -fuzz FuzzWalkMatchesOracle -fuzztime 10s ./internal/psl/
 
 # Lanes that select tests by name run through require-pass.sh: `go test
 # -run` passes on an empty match, so the wrapper also fails unless every

@@ -121,6 +121,19 @@ type Browser struct {
 
 	jar map[string][]httpmodel.Cookie // cookie domain -> cookies
 	seq int
+
+	// lastPage memoises the parse of the last page URL: every request
+	// a page issues needs its host and origin. Each crawl worker owns
+	// its Browser, so the memo needs no lock.
+	lastPage pageInfo
+}
+
+// pageInfo is a page URL's parse: the lower-cased hostname and the
+// origin referer, both "" when the URL does not parse.
+type pageInfo struct {
+	url          string
+	parsed       bool
+	host, origin string
 }
 
 // New creates a browsing session. zone supplies CNAME records for
@@ -233,7 +246,7 @@ func (b *Browser) Do(req httpmodel.Request, page string, phase httpmodel.Phase, 
 			return false
 		}
 	}
-	pageHost := hostOf(page)
+	pageHost, _ := b.page(page)
 	if referer != "" {
 		if req.Headers == nil {
 			req.Headers = map[string]string{}
@@ -279,20 +292,25 @@ func (b *Browser) canSetCookie(c httpmodel.Cookie, pageHost string) bool {
 	return true
 }
 
-func hostOf(pageURL string) string {
-	u, err := url.Parse(pageURL)
-	if err != nil {
-		return ""
+// page returns pageURL's lower-cased hostname and its origin referer
+// ("scheme://host/"), both "" when the URL does not parse.
+func (b *Browser) page(pageURL string) (host, origin string) {
+	if !b.lastPage.parsed || b.lastPage.url != pageURL {
+		b.lastPage = pageInfo{url: pageURL, parsed: true}
+		if u, err := url.Parse(pageURL); err == nil {
+			b.lastPage.host = strings.ToLower(u.Hostname())
+			b.lastPage.origin = u.Scheme + "://" + u.Host + "/"
+		}
 	}
-	return strings.ToLower(u.Hostname())
+	return b.lastPage.host, b.lastPage.origin
 }
 
 // refererFrom computes the Referer value a subresource request gets
 // from its page: the full URL when the page is same-origin with the
 // target or the site opted into unsafe-url (the GET-form sites), the
 // origin otherwise — Firefox 88's default policy.
-func refererFrom(s *site.Site, pageURL, targetHost string) string {
-	pageHost := hostOf(pageURL)
+func (b *Browser) refererFrom(s *site.Site, pageURL, targetHost string) string {
+	pageHost, origin := b.page(pageURL)
 	sameSite := !psl.IsThirdParty(pageHost, targetHost)
 	if sameSite || s.SignupGET {
 		// Badly-coded GET-form sites also ship
@@ -300,11 +318,7 @@ func refererFrom(s *site.Site, pageURL, targetHost string) string {
 		// accidental leak observable cross-origin (§4.1).
 		return pageURL
 	}
-	u, err := url.Parse(pageURL)
-	if err != nil {
-		return ""
-	}
-	return u.Scheme + "://" + u.Host + "/"
+	return origin
 }
 
 // VisitPage renders a page: the document request, one first-party asset,
@@ -329,11 +343,11 @@ func (b *Browser) RenderSubresources(s *site.Site, pageURL string, phase httpmod
 	asset := s.PageURL("/static/app.js")
 	b.Do(httpmodel.Request{
 		Method: "GET", URL: asset, Type: httpmodel.TypeScript, Initiator: pageURL,
-	}, pageURL, phase, refererFrom(s, pageURL, s.Host()), httpmodel.Response{})
+	}, pageURL, phase, b.refererFrom(s, pageURL, s.Host()), httpmodel.Response{})
 
 	for _, tag := range s.TagsOn(subpage) {
 		req := tag.LoadRequest(pageURL)
-		b.Do(req, pageURL, phase, refererFrom(s, pageURL, req.Host()), httpmodel.Response{})
+		b.Do(req, pageURL, phase, b.refererFrom(s, pageURL, req.Host()), httpmodel.Response{})
 	}
 }
 
@@ -357,7 +371,7 @@ func (b *Browser) FireAuthEvent(s *site.Site, pageURL string, phase httpmodel.Ph
 					// the (cloaked, first-party) tag host.
 					b.SetCookie(c)
 				}
-				b.Do(req, pageURL, phase, refererFrom(s, pageURL, req.Host()), httpmodel.Response{})
+				b.Do(req, pageURL, phase, b.refererFrom(s, pageURL, req.Host()), httpmodel.Response{})
 			}
 		}
 	}

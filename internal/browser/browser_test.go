@@ -191,20 +191,21 @@ func TestSetCookieRespectsPolicy(t *testing.T) {
 
 func TestRefererPolicyCrossOrigin(t *testing.T) {
 	// Default policy: cross-origin subresources see only the origin.
+	b := New(Firefox88(), nil)
 	s := leakySite()
 	pageWithQuery := s.PageURL("/account/signup?email=secret%40x.com")
-	got := refererFrom(s, pageWithQuery, "www.facebook.com")
+	got := b.refererFrom(s, pageWithQuery, "www.facebook.com")
 	if strings.Contains(got, "secret") {
 		t.Errorf("cross-origin referer leaked the query: %q", got)
 	}
 	// Same-origin gets the full URL.
-	got = refererFrom(s, pageWithQuery, s.Host())
+	got = b.refererFrom(s, pageWithQuery, s.Host())
 	if !strings.Contains(got, "secret") {
 		t.Errorf("same-origin referer trimmed: %q", got)
 	}
 	// GET-form (unsafe-url) sites leak cross-origin.
 	s.SignupGET = true
-	got = refererFrom(s, pageWithQuery, "www.facebook.com")
+	got = b.refererFrom(s, pageWithQuery, "www.facebook.com")
 	if !strings.Contains(got, "secret") {
 		t.Errorf("unsafe-url referer trimmed: %q", got)
 	}
@@ -250,5 +251,61 @@ func TestResetClearsState(t *testing.T) {
 	b.Do(httpmodel.Request{Method: "GET", URL: "https://a.com/"}, "https://a.com/", httpmodel.PhaseHomepage, "", httpmodel.Response{})
 	if len(b.Records[0].Request.Cookies) != 0 {
 		t.Error("Reset left cookies")
+	}
+}
+
+// TestPageMemo switches pages A, B, A and then to a malformed URL: the
+// memo of the last page must never answer for another page.
+func TestPageMemo(t *testing.T) {
+	b := New(Firefox88(), nil)
+	s := leakySite()
+	pageA := s.PageURL("/account/signup?email=secret%40x.com")
+	pageB := "https://Shop.Example.co.jp:8443/cart"
+	for _, c := range []struct {
+		page, host, origin string
+	}{
+		{pageA, "www.urbanmarket.com", "https://www.urbanmarket.com/"},
+		{pageB, "shop.example.co.jp", "https://Shop.Example.co.jp:8443/"},
+		{pageA, "www.urbanmarket.com", "https://www.urbanmarket.com/"},
+		{"https://exa mple.com/", "", ""},
+		{pageA, "www.urbanmarket.com", "https://www.urbanmarket.com/"},
+	} {
+		if host, origin := b.page(c.page); host != c.host || origin != c.origin {
+			t.Errorf("page(%q) = %q, %q; want %q, %q", c.page, host, origin, c.host, c.origin)
+		}
+		if got := b.refererFrom(s, c.page, "www.facebook.com"); got != c.origin {
+			t.Errorf("cross-site referer from %q = %q, want %q", c.page, got, c.origin)
+		}
+	}
+}
+
+// tailSite is a background universe site: no auth flow, one CDN tag.
+func tailSite() *site.Site {
+	return &site.Site{
+		Domain:   "quietharbor.net",
+		Obstacle: site.ObstacleNoAuth,
+		Tags: []site.Tag{{
+			Receiver: "jscdn-static.net", Host: "cdn.jscdn-static.net",
+			Path: "/lib/app.js", Type: httpmodel.TypeScript, OnSubpages: true,
+		}},
+	}
+}
+
+// BenchmarkVisitPage renders one homepage per op in a fresh session, as
+// the crawl does per site.
+func BenchmarkVisitPage(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		site *site.Site
+	}{{"tail", tailSite()}, {"shopping", leakySite()}} {
+		b.Run(c.name, func(b *testing.B) {
+			br := New(Firefox88(), nil)
+			page := c.site.BaseURL()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				br.VisitPage(c.site, page, httpmodel.PhaseHomepage, false)
+				br.Reset()
+			}
+		})
 	}
 }

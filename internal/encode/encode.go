@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 )
 
 // Codec is one registered, deterministic byte transform.
@@ -165,25 +166,45 @@ func rot13(d []byte) []byte {
 	return out
 }
 
+// Compressors are pooled: a flate writer at BestCompression allocates
+// several hundred KiB of tables, and the candidate compile encodes
+// thousands of tokens. Reset makes a pooled writer emit exactly the bytes
+// a fresh one would.
+var (
+	deflateWriters = sync.Pool{New: func() any {
+		w, err := flate.NewWriter(nil, flate.BestCompression)
+		if err != nil {
+			panic(err) // only fails on invalid level
+		}
+		return w
+	}}
+	gzipWriters = sync.Pool{New: func() any {
+		w, err := gzip.NewWriterLevel(nil, gzip.BestCompression)
+		if err != nil {
+			panic(err)
+		}
+		return w
+	}}
+)
+
 func deflateEncode(d []byte) []byte {
 	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, flate.BestCompression)
-	if err != nil {
-		panic(err) // only fails on invalid level
-	}
+	w := deflateWriters.Get().(*flate.Writer)
+	w.Reset(&buf)
 	w.Write(d) //nolint:errcheck // bytes.Buffer cannot fail
 	w.Close()  //nolint:errcheck
+	deflateWriters.Put(w)
 	return buf.Bytes()
 }
 
 func gzipEncode(d []byte) []byte {
 	var buf bytes.Buffer
-	// Default header: zero MTIME, unknown OS — fully deterministic.
-	w, err := gzip.NewWriterLevel(&buf, gzip.BestCompression)
-	if err != nil {
-		panic(err)
-	}
+	// Reset restores the default header: zero MTIME, unknown OS — fully
+	// deterministic.
+	w := gzipWriters.Get().(*gzip.Writer)
+	w.Reset(&buf)
 	w.Write(d) //nolint:errcheck
 	w.Close()  //nolint:errcheck
+	gzipWriters.Put(w)
 	return buf.Bytes()
 }

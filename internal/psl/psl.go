@@ -71,68 +71,76 @@ func MustParse(text string) *List {
 // label, exception rules override wildcards, and an unmatched domain
 // falls back to its last label.
 func (l *List) PublicSuffix(domain string) string {
-	domain = Normalize(domain)
-	if domain == "" {
-		return ""
-	}
-	labels := strings.Split(domain, ".")
-	for _, l := range labels {
-		if l == "" {
-			return "" // empty label: not a valid host
-		}
+	return l.publicSuffix(Normalize(domain))
+}
+
+// publicSuffix is PublicSuffix over an already normalised host. It walks
+// label boundaries by index and returns a substring of host, so it never
+// allocates.
+func (l *List) publicSuffix(host string) string {
+	if host == "" || host[0] == '.' || host[len(host)-1] == '.' || strings.Contains(host, "..") {
+		return "" // empty label: not a valid host
 	}
 	// Walk suffixes from longest to shortest so "longest rule wins".
-	for i := 0; i < len(labels); i++ {
-		suffix := strings.Join(labels[i:], ".")
+	for suffix := host; ; {
+		dot := strings.IndexByte(suffix, '.')
 		if kind, ok := l.rules[suffix]; ok {
-			switch kind {
-			case ruleException:
+			if kind == ruleException {
 				// The exception's own suffix is one label shorter.
-				return strings.Join(labels[i+1:], ".")
-			case ruleNormal:
-				return suffix
-			case ruleWildcard:
-				// Wildcard matched as its own name: "*.ck" also
-				// implies "anything.ck" is a suffix; matching the
-				// bare name means the rule is the suffix of a longer
-				// domain handled below. Treat bare match as normal.
-				return suffix
+				if dot < 0 {
+					return ""
+				}
+				return suffix[dot+1:]
 			}
+			// A normal rule, or a wildcard matched as its own name:
+			// "*.ck" also implies "anything.ck" is a suffix, so the
+			// bare name is the suffix of a longer domain.
+			return suffix
 		}
-		// Wildcard: "*.<suffix-without-first-label>".
-		if i+1 <= len(labels)-1 {
-			parent := strings.Join(labels[i+1:], ".")
-			if kind, ok := l.rules[parent]; ok && kind == ruleWildcard {
-				// Exception rules are checked first above, so this
-				// label is covered by the wildcard.
-				return suffix
-			}
+		if dot < 0 {
+			return suffix // no rule matched: the last label
 		}
+		// Wildcard: "*.<suffix-without-first-label>". Exception rules
+		// are checked first above, so this label is covered by it.
+		parent := suffix[dot+1:]
+		if kind, ok := l.rules[parent]; ok && kind == ruleWildcard {
+			return suffix
+		}
+		suffix = parent
 	}
-	return labels[len(labels)-1]
 }
 
 // ETLDPlusOne returns the registrable domain (public suffix plus one
 // label). It returns an error when the domain is itself a public suffix
 // or empty.
 func (l *List) ETLDPlusOne(domain string) (string, error) {
-	domain = Normalize(domain)
-	suffix := l.PublicSuffix(domain)
-	if suffix == "" || suffix == domain || domain == "" {
-		return "", fmt.Errorf("psl: %q has no registrable domain", domain)
+	host := Normalize(domain)
+	e, ok := l.etldPlusOne(host)
+	if !ok {
+		return "", fmt.Errorf("psl: %q has no registrable domain", host)
 	}
-	rest := strings.TrimSuffix(domain, "."+suffix)
-	labels := strings.Split(rest, ".")
-	return labels[len(labels)-1] + "." + suffix, nil
+	return e, nil
+}
+
+// etldPlusOne is ETLDPlusOne over an already normalised host, without
+// the error value: the result is a substring of host.
+func (l *List) etldPlusOne(host string) (string, bool) {
+	suffix := l.publicSuffix(host)
+	if suffix == "" || suffix == host {
+		return "", false
+	}
+	// suffix is a label-aligned tail of host: keep one more label.
+	rest := host[:len(host)-len(suffix)-1]
+	return host[strings.LastIndexByte(rest, '.')+1:], true
 }
 
 // SameSite reports whether two hosts share a registrable domain — the
 // paper's first-party test. Hosts that are bare public suffixes are never
 // same-site with anything.
 func (l *List) SameSite(a, b string) bool {
-	ea, errA := l.ETLDPlusOne(a)
-	eb, errB := l.ETLDPlusOne(b)
-	return errA == nil && errB == nil && ea == eb
+	ea, okA := l.etldPlusOne(Normalize(a))
+	eb, okB := l.etldPlusOne(Normalize(b))
+	return okA && okB && ea == eb
 }
 
 // IsThirdParty reports whether requestHost is a third-party resource for
@@ -141,26 +149,33 @@ func (l *List) IsThirdParty(siteHost, requestHost string) bool {
 	return !l.SameSite(siteHost, requestHost)
 }
 
-// Normalize lower-cases a host and strips a trailing dot and port.
+// Normalize lower-cases a host and strips surrounding whitespace,
+// trailing dots and a port until none is left, so it is idempotent:
+// Normalize(Normalize(h)) == Normalize(h).
 func Normalize(host string) string {
-	host = strings.ToLower(strings.TrimSpace(host))
-	if i := strings.LastIndexByte(host, ':'); i >= 0 && !strings.Contains(host[i+1:], ".") {
-		// A colon followed by digits is a port; IPv6 literals are not
-		// used in this simulator.
-		allDigits := i+1 < len(host)
-		for _, r := range host[i+1:] {
-			if r < '0' || r > '9' {
-				allDigits = false
-				break
-			}
-		}
-		if allDigits {
-			host = host[:i]
+	host = strings.ToLower(host)
+	for {
+		prev := host
+		host = strings.TrimSuffix(stripPort(strings.TrimSpace(host)), ".")
+		if host == prev {
+			return host
 		}
 	}
-	// Stripping the trailing dot can expose trailing whitespace; trim
-	// again so Normalize is idempotent.
-	return strings.TrimSpace(strings.TrimSuffix(host, "."))
+}
+
+// stripPort drops a trailing ":digits". IPv6 literals are not used in
+// this simulator.
+func stripPort(host string) string {
+	i := strings.LastIndexByte(host, ':')
+	if i < 0 || i+1 == len(host) {
+		return host
+	}
+	for j := i + 1; j < len(host); j++ {
+		if host[j] < '0' || host[j] > '9' {
+			return host
+		}
+	}
+	return host[:i]
 }
 
 // defaultPSL is the embedded ICANN-section rule set. The paper's party

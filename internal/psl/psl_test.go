@@ -41,6 +41,7 @@ func TestETLDPlusOne(t *testing.T) {
 		"example.com":            "example.com",
 		"a.b.example.com":        "example.com",
 		"cdn.shop.example.co.jp": "example.co.jp",
+		"a.com:80.":              "a.com",
 	}
 	for in, want := range cases {
 		got, err := ETLDPlusOne(in)
@@ -55,7 +56,7 @@ func TestETLDPlusOne(t *testing.T) {
 }
 
 func TestETLDPlusOneErrors(t *testing.T) {
-	for _, in := range []string{"com", "co.jp", ""} {
+	for _, in := range []string{"com", "co.jp", "", "0..", "0.", ".."} {
 		if _, err := ETLDPlusOne(in); err == nil {
 			t.Errorf("ETLDPlusOne(%q) succeeded, want error", in)
 		}
@@ -96,10 +97,16 @@ func TestNormalize(t *testing.T) {
 		"example.com.":     "example.com",
 		"example.com:8080": "example.com",
 		"  example.com ":   "example.com",
+		"0..":              "0",
+		"a.com:80.":        "a.com",
+		" a.com. :80":      "a.com",
 	}
 	for in, want := range cases {
 		if got := Normalize(in); got != want {
 			t.Errorf("Normalize(%q) = %q, want %q", in, got, want)
+		}
+		if got := Normalize(want); got != want {
+			t.Errorf("Normalize is not idempotent: Normalize(%q) = %q", want, got)
 		}
 	}
 }
@@ -153,5 +160,40 @@ func TestLongestRuleWins(t *testing.T) {
 	// Both "jp" and "co.jp" are rules; co.jp must win for x.co.jp.
 	if got := PublicSuffix("x.co.jp"); got != "co.jp" {
 		t.Errorf("PublicSuffix(x.co.jp) = %q, want co.jp", got)
+	}
+}
+
+// hotHosts are valid lower-case hosts of the shapes the crawl classifies:
+// site hosts, tracker and CDN hosts, multi-label suffixes and wildcards.
+var hotHosts = []string{
+	"www.urbanmarket.com", "smetrics.urbanmarket.com", "www.facebook.com",
+	"cdn.jscdn-static.net", "cdn.shop.example.co.jp", "a.b.foo.ck",
+}
+
+func TestWalkAllocationFree(t *testing.T) {
+	for _, h := range hotHosts {
+		if n := testing.AllocsPerRun(100, func() { ETLDPlusOne(h) }); n != 0 { //nolint:errcheck
+			t.Errorf("ETLDPlusOne(%q): %v allocs, want 0", h, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { SameSite(h, hotHosts[0]) }); n != 0 {
+			t.Errorf("SameSite(%q, %q): %v allocs, want 0", h, hotHosts[0], n)
+		}
+	}
+}
+
+var sinkString string
+var sinkBool bool
+
+func BenchmarkETLDPlusOne(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkString, _ = ETLDPlusOne(hotHosts[i%len(hotHosts)])
+	}
+}
+
+func BenchmarkSameSite(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkBool = SameSite(hotHosts[0], hotHosts[i%len(hotHosts)])
 	}
 }

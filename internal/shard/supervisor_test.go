@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -203,9 +204,10 @@ func TestSuperviseReusesVerifiedResults(t *testing.T) {
 		t.Fatalf("setup run partial: %+v", report)
 	}
 
-	calls := 0
+	// Shards run concurrently, so the failpoint counts atomically.
+	var calls atomic.Int64
 	withFailpoint(t, func(shard, attempt int) error {
-		calls++
+		calls.Add(1)
 		return errors.New("no new attempts allowed")
 	})
 
@@ -218,8 +220,8 @@ func TestSuperviseReusesVerifiedResults(t *testing.T) {
 	if report.Partial {
 		t.Fatalf("resume of a complete run partial: %+v", report)
 	}
-	if calls != 0 {
-		t.Errorf("resume ran %d worker attempts over verified results, want 0", calls)
+	if calls.Load() != 0 {
+		t.Errorf("resume ran %d worker attempts over verified results, want 0", calls.Load())
 	}
 	if got := report.Attempts[0] + report.Attempts[1]; got != 0 {
 		t.Errorf("resume recorded %d attempts, want 0", got)
@@ -231,7 +233,7 @@ func TestSuperviseReusesVerifiedResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls == 0 {
+	if calls.Load() == 0 {
 		t.Error("fresh mode reused results instead of re-running")
 	}
 	if !report.Partial || len(report.Missing) != 2 {
