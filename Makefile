@@ -38,14 +38,16 @@ bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...
 
 # Short fuzz smoke for the dataset decoder hardening, the sharded
-# runtime's plan/result readers, and the PSL walk (invariants, and the
-# differential check against the Split/Join oracle).
+# runtime's plan/result readers, the PSL walk (invariants, and the
+# differential check against the Split/Join oracle), and the soundness
+# of the authority key the host memos use.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadJSON -fuzztime 10s ./internal/crawler/
 	$(GO) test -run '^$$' -fuzz FuzzParsePlan -fuzztime 10s ./internal/shard/
 	$(GO) test -run '^$$' -fuzz FuzzParseResult -fuzztime 10s ./internal/shard/
 	$(GO) test -run '^$$' -fuzz FuzzPublicSuffix -fuzztime 10s ./internal/psl/
 	$(GO) test -run '^$$' -fuzz FuzzWalkMatchesOracle -fuzztime 10s ./internal/psl/
+	$(GO) test -run '^$$' -fuzz FuzzAuthorityKeySound -fuzztime 10s ./internal/httpmodel/
 
 # Lanes that select tests by name run through require-pass.sh: `go test
 # -run` passes on an empty match, so the wrapper also fails unless every

@@ -3,6 +3,7 @@ package piileak
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -296,6 +297,36 @@ func BenchmarkPipeline(b *testing.B) {
 			}
 			b.ReportMetric(float64(len(res.Leaks)), "leaks")
 			b.ReportMetric(float64(res.Stats.CaptureHighWater), "capture_high_water")
+		})
+	}
+}
+
+// BenchmarkStreamUniverse measures the streamed study above paper
+// scale: a 100k-site lazy universe at 1 crawl + 1 detect worker and at
+// 2 + 2, reporting throughput and allocations per site. The gap between
+// the two arms is the pipeline's multi-core scaling.
+func BenchmarkStreamUniverse(b *testing.B) {
+	const sites = 100_000
+	s, err := NewStudy(DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("%dx%d", w, w), func(b *testing.B) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Dataset, s.Leaks, s.Analysis, s.Result = nil, nil, nil, nil
+				if err := s.Run(context.Background(), WithStream(), WithUniverse(sites), WithWorkers(w, w)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			total := float64(b.N * sites)
+			b.ReportMetric(total/b.Elapsed().Seconds(), "sites/s")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/total, "allocs/site")
 		})
 	}
 }

@@ -124,8 +124,14 @@ type Browser struct {
 
 	// lastPage memoises the parse of the last page URL: every request
 	// a page issues needs its host and origin. Each crawl worker owns
-	// its Browser, so the memo needs no lock.
+	// its Browser, so the memos need no lock.
 	lastPage pageInfo
+	// hosts memoises Request.Host by httpmodel.AuthorityKey, and sites
+	// each host's registrable domain ("" when it has none), for the
+	// session: a page's tags hit the same few endpoints many times.
+	// Reset clears both.
+	hosts map[string]string
+	sites map[string]string
 }
 
 // pageInfo is a page URL's parse: the lower-cased hostname and the
@@ -147,11 +153,13 @@ func New(profile Profile, zone *dnssim.Zone) *Browser {
 		Classifier: dnssim.NewClassifier(zone),
 		Blocked:    map[string]int{},
 		jar:        map[string][]httpmodel.Cookie{},
+		hosts:      map[string]string{},
+		sites:      map[string]string{},
 	}
 }
 
-// Reset clears cookies, captured traffic and the transport (a fresh
-// session on a fresh connection).
+// Reset clears cookies, captured traffic, the transport and the
+// host memos (a fresh session on a fresh connection).
 func (b *Browser) Reset() {
 	b.Records = nil
 	b.Blocked = map[string]int{}
@@ -159,6 +167,41 @@ func (b *Browser) Reset() {
 	b.Transport = nil
 	b.jar = map[string][]httpmodel.Cookie{}
 	b.seq = 0
+	clear(b.hosts)
+	clear(b.sites)
+}
+
+// hostOf is req.Host(), memoised by the URL's authority.
+func (b *Browser) hostOf(req *httpmodel.Request) string {
+	k, ok := httpmodel.AuthorityKey(req.URL)
+	if !ok {
+		return req.Host()
+	}
+	h, hit := b.hosts[k]
+	if !hit {
+		h = req.Host()
+		b.hosts[k] = h
+	}
+	return h
+}
+
+// siteOf is the classifier's PSL ETLDPlusOne of host, memoised by
+// host; "" means host has no registrable domain (a successful lookup
+// is never empty).
+func (b *Browser) siteOf(host string) string {
+	e, hit := b.sites[host]
+	if !hit {
+		e, _ = b.Classifier.PSL.ETLDPlusOne(host)
+		b.sites[host] = e
+	}
+	return e
+}
+
+// sameSite is psl.(*List).SameSite over the memoised sites: both hosts
+// have a registrable domain and it is the same one.
+func (b *Browser) sameSite(x, y string) bool {
+	e := b.siteOf(x)
+	return e != "" && e == b.siteOf(y)
 }
 
 // SetCookie stores a cookie in the jar.
@@ -177,13 +220,12 @@ func (b *Browser) SetCookie(c httpmodel.Cookie) {
 // from a page on pageHost.
 func (b *Browser) cookiesFor(host, pageHost string) []httpmodel.Cookie {
 	var out []httpmodel.Cookie
-	thirdParty := b.Classifier.PSL.IsThirdParty(pageHost, host)
-	if thirdParty {
+	if !b.sameSite(pageHost, host) {
 		if b.Profile.BlockThirdPartyCookies {
 			return nil
 		}
 		if b.Profile.ETPTrackerCookies {
-			if e, err := b.Classifier.PSL.ETLDPlusOne(host); err == nil && b.Profile.KnownTrackers[e] {
+			if e := b.siteOf(host); e != "" && b.Profile.KnownTrackers[e] {
 				return nil
 			}
 		}
@@ -213,7 +255,7 @@ func (b *Browser) allowed(reqHost string) (receiver string, ok bool) {
 	party := reqHost
 	if b.Profile.UncloakCNAME {
 		party = b.Classifier.EffectiveParty(reqHost)
-	} else if e, err := b.Classifier.PSL.ETLDPlusOne(reqHost); err == nil {
+	} else if e := b.siteOf(reqHost); e != "" {
 		party = e
 	}
 	if b.Profile.Shields[party] {
@@ -225,7 +267,7 @@ func (b *Browser) allowed(reqHost string) (receiver string, ok bool) {
 // Do issues one request: applies shields and cookie policy, attaches the
 // referer, records the exchange, and returns whether it went through.
 func (b *Browser) Do(req httpmodel.Request, page string, phase httpmodel.Phase, referer string, resp httpmodel.Response) bool {
-	host := req.Host()
+	host := b.hostOf(&req)
 	if receiver, ok := b.allowed(host); !ok {
 		b.Blocked[receiver]++
 		b.Obs.Count(obs.MetricBrowserBlocked, 1)
@@ -277,15 +319,14 @@ func (b *Browser) Do(req httpmodel.Request, page string, phase httpmodel.Phase, 
 }
 
 func (b *Browser) canSetCookie(c httpmodel.Cookie, pageHost string) bool {
-	thirdParty := b.Classifier.PSL.IsThirdParty(pageHost, c.Domain)
-	if !thirdParty {
+	if b.sameSite(pageHost, c.Domain) {
 		return true
 	}
 	if b.Profile.BlockThirdPartyCookies {
 		return false
 	}
 	if b.Profile.ETPTrackerCookies {
-		if e, err := b.Classifier.PSL.ETLDPlusOne(c.Domain); err == nil && b.Profile.KnownTrackers[e] {
+		if e := b.siteOf(c.Domain); e != "" && b.Profile.KnownTrackers[e] {
 			return false
 		}
 	}
@@ -311,8 +352,7 @@ func (b *Browser) page(pageURL string) (host, origin string) {
 // origin otherwise — Firefox 88's default policy.
 func (b *Browser) refererFrom(s *site.Site, pageURL, targetHost string) string {
 	pageHost, origin := b.page(pageURL)
-	sameSite := !psl.IsThirdParty(pageHost, targetHost)
-	if sameSite || s.SignupGET {
+	if b.sameSite(pageHost, targetHost) || s.SignupGET {
 		// Badly-coded GET-form sites also ship
 		// `Referrer-Policy: unsafe-url`, which is what makes their
 		// accidental leak observable cross-origin (§4.1).
@@ -340,14 +380,14 @@ func (b *Browser) VisitPage(s *site.Site, pageURL string, phase httpmodel.Phase,
 // the document request — used after form submissions, where the
 // navigation request already happened.
 func (b *Browser) RenderSubresources(s *site.Site, pageURL string, phase httpmodel.Phase, subpage bool) {
-	asset := s.PageURL("/static/app.js")
-	b.Do(httpmodel.Request{
-		Method: "GET", URL: asset, Type: httpmodel.TypeScript, Initiator: pageURL,
-	}, pageURL, phase, b.refererFrom(s, pageURL, s.Host()), httpmodel.Response{})
+	asset := httpmodel.Request{
+		Method: "GET", URL: s.PageURL("/static/app.js"), Type: httpmodel.TypeScript, Initiator: pageURL,
+	}
+	b.Do(asset, pageURL, phase, b.refererFrom(s, pageURL, b.hostOf(&asset)), httpmodel.Response{})
 
 	for _, tag := range s.TagsOn(subpage) {
 		req := tag.LoadRequest(pageURL)
-		b.Do(req, pageURL, phase, b.refererFrom(s, pageURL, req.Host()), httpmodel.Response{})
+		b.Do(req, pageURL, phase, b.refererFrom(s, pageURL, b.hostOf(&req)), httpmodel.Response{})
 	}
 }
 
@@ -371,7 +411,7 @@ func (b *Browser) FireAuthEvent(s *site.Site, pageURL string, phase httpmodel.Ph
 					// the (cloaked, first-party) tag host.
 					b.SetCookie(c)
 				}
-				b.Do(req, pageURL, phase, b.refererFrom(s, pageURL, req.Host()), httpmodel.Response{})
+				b.Do(req, pageURL, phase, b.refererFrom(s, pageURL, b.hostOf(&req)), httpmodel.Response{})
 			}
 		}
 	}

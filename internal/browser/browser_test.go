@@ -1,6 +1,7 @@
 package browser
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -275,6 +276,99 @@ func TestPageMemo(t *testing.T) {
 		}
 		if got := b.refererFrom(s, c.page, "www.facebook.com"); got != c.origin {
 			t.Errorf("cross-site referer from %q = %q, want %q", c.page, got, c.origin)
+		}
+	}
+}
+
+// hostLog records the host of every fetch the browser lets through.
+type hostLog struct{ hosts []string }
+
+func (l *hostLog) Fetch(host string) error {
+	l.hosts = append(l.hosts, host)
+	return nil
+}
+
+// TestRequestMemoMatchesMemoFree replays requests that share an
+// authority but differ in path, query, fragment, port, case, scheme or
+// a bad escape — plus URLs with no authority that spell one — through
+// a browser with its session memos and through one whose memos are
+// emptied before every request, so each lookup is computed afresh. Both
+// must fetch the same hosts (those of Request.Host), attach the same
+// cookies and referers, store the same jar and block the same requests.
+func TestRequestMemoMatchesMemoFree(t *testing.T) {
+	const page = "https://www.shop.com/account"
+	urls := []string{
+		"https://www.shop.com/a",
+		"https://www.shop.com/p%zz",
+		"www.shop.com",
+		"https://www.shop.com/b?x=1&e=%40",
+		"https://www.shop.com/c#frag",
+		"https://www.shop.com/c#f%zz",
+		"https://WWW.Shop.COM/d",
+		"https://www.shop.com:8443/e",
+		"http://www.shop.com/f",
+		"https://pixel.tracker.net/p",
+		"pixel.tracker.net",
+		"https://pixel.tracker.net/%zz",
+		"https://pixel.tracker.net/p?u=%zz",
+		"https://PIXEL.tracker.net:443/q",
+		"https://u@pixel.tracker.net/r",
+		"https://smetrics.shop.com/b/ss",
+		"https://cdn.other.org/lib.js",
+		"mailto:a@pixel.tracker.net",
+		"https://mailto:a@pixel.tracker.net/",
+	}
+	cookies := []httpmodel.Cookie{
+		{Name: "fp", Value: "1", Domain: "shop.com"},
+		{Name: "sub", Value: "2", Domain: "smetrics.shop.com"},
+		{Name: "tp", Value: "3", Domain: "tracker.net"},
+		{Name: "pix", Value: "4", Domain: "pixel.tracker.net"},
+		{Name: "org", Value: "5", Domain: "other.org"},
+	}
+	run := func(profile Profile, memoFree bool) (*Browser, []string) {
+		b := New(profile, nil)
+		log := &hostLog{}
+		b.Transport = log
+		b.SetCookie(cookies[0])
+		for round := 0; round < 2; round++ {
+			for i, u := range urls {
+				if memoFree {
+					clear(b.hosts)
+					clear(b.sites)
+				}
+				// Every third response tries to set a cookie, so the
+				// cookie-setting policy is replayed too.
+				var resp httpmodel.Response
+				if i%3 == round {
+					resp.SetCookies = []httpmodel.Cookie{cookies[(i+round)%len(cookies)]}
+				}
+				req := httpmodel.Request{Method: "GET", URL: u, Type: httpmodel.TypeImage}
+				b.Do(req, page, httpmodel.PhaseHomepage, "", resp)
+			}
+		}
+		return b, log.hosts
+	}
+	for _, profile := range []Profile{
+		Chrome93(), Safari14(),
+		Firefox88ETP(map[string]bool{"tracker.net": true}),
+		Brave129(map[string]bool{"other.org": true}),
+	} {
+		memo, memoHosts := run(profile, false)
+		ref, refHosts := run(profile, true)
+		name := profile.Name + " " + profile.Version
+		if !reflect.DeepEqual(memoHosts, refHosts) {
+			t.Errorf("%s: fetched hosts\n%q\nwant\n%q", name, memoHosts, refHosts)
+		}
+		if !reflect.DeepEqual(memo.Records, ref.Records) {
+			t.Errorf("%s: records differ from the memo-free run", name)
+		}
+		if !reflect.DeepEqual(memo.jar, ref.jar) || !reflect.DeepEqual(memo.Blocked, ref.Blocked) {
+			t.Errorf("%s: jar or blocks differ from the memo-free run", name)
+		}
+		for i, r := range memo.Records {
+			if want := r.Request.Host(); memoHosts[i] != want {
+				t.Errorf("%s: request %s fetched host %q, want Request.Host() %q", name, r.Request.URL, memoHosts[i], want)
+			}
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -83,22 +84,34 @@ func (h checkpointHeader) String() string {
 // shard label it was written under ("" = unsharded). found is false
 // when the file does not exist or its header line is unreadable — the
 // caller cannot conclude anything about such a file beyond "not a
-// valid checkpoint".
+// valid checkpoint". Only the first line is read, at most
+// maxHeaderLine bytes of it, however large the checkpoint.
 func CheckpointShard(path string) (shard string, found bool, err error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return "", false, nil
 	}
 	if err != nil {
 		return "", false, fmt.Errorf("crawler: checkpoint %s: %w", path, err)
 	}
-	line, _, _ := bytes.Cut(data, []byte("\n"))
+	defer f.Close() //lint:allow closecheck read-only open; close cannot lose data
+	line, err := bufio.NewReaderSize(f, maxHeaderLine).ReadSlice('\n')
+	if err != nil && err != io.EOF {
+		if err == bufio.ErrBufferFull {
+			return "", false, nil
+		}
+		return "", false, fmt.Errorf("crawler: checkpoint %s: %w", path, err)
+	}
 	var hdr checkpointHeader
 	if json.Unmarshal(line, &hdr) != nil || hdr.Version == 0 {
 		return "", false, nil
 	}
 	return hdr.Shard, true, nil
 }
+
+// maxHeaderLine bounds the header line CheckpointShard reads; a real
+// header is a few hundred bytes.
+const maxHeaderLine = 4096
 
 // OpenCheckpoint opens a checkpoint file for a run. With resume set and
 // an existing file, completed entries are loaded (and the file's torn
@@ -227,8 +240,8 @@ func (c *Checkpoint) TornRecords() int {
 
 // lookup returns a site loaded on open. Safe on a nil receiver — the
 // no-checkpoint crawl path — and for concurrent use: the loaded entries
-// are never written after open, so the streaming feeder's lookups need
-// no lock while workers Append freshly crawled sites.
+// are never written after open, so the crawl workers' lookups need no
+// lock while they Append freshly crawled sites.
 func (c *Checkpoint) lookup(domain string) (SiteResult, bool) {
 	if c == nil {
 		return SiteResult{}, false

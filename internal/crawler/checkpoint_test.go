@@ -238,3 +238,61 @@ func TestCheckpointAppendKeepsNoSites(t *testing.T) {
 		t.Error("lookup found a site appended this run")
 	}
 }
+
+// TestCheckpointShardReadsHeaderOnly: the label comes from the first
+// line alone, whatever follows it, and a missing or unparsable first
+// line is "not a checkpoint" rather than an error.
+func TestCheckpointShardReadsHeaderOnly(t *testing.T) {
+	eco := webgen.MustGenerate(webgen.SmallConfig(11))
+	dir := t.TempDir()
+	path := filepath.Join(dir, "shard.ckpt")
+	c, err := OpenCheckpoint(path, eco, browser.Firefox88(), false, "2/4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A large tail that is not JSON at all: only the header may be read.
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	garbage := bytes.Repeat([]byte("\x00{not json\xff"), 1<<18)
+	if _, err := f.Write(garbage); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if label, found, err := CheckpointShard(path); err != nil || !found || label != "2/4" {
+		t.Fatalf("CheckpointShard = %q, %v, %v; want \"2/4\", true, nil", label, found, err)
+	}
+
+	for name, data := range map[string][]byte{
+		"empty":       nil,
+		"garbage":     []byte("not a header\n{\"version\":1}\n"),
+		"no version":  []byte("{\"browser\":\"Firefox\"}\n"),
+		"overlong":    append(bytes.Repeat([]byte(" "), 2*maxHeaderLine), []byte("{\"version\":1}\n")...),
+		"torn header": []byte("{\"version\":1,\"shard\":\"1/2\""),
+	} {
+		p := filepath.Join(dir, strings.ReplaceAll(name, " ", "-"))
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if label, found, err := CheckpointShard(p); err != nil || found {
+			t.Errorf("%s: CheckpointShard = %q, %v, %v; want not found, nil", name, label, found, err)
+		}
+	}
+	// A header with no newline after it is still a header.
+	bare := filepath.Join(dir, "bare")
+	if err := os.WriteFile(bare, []byte("{\"version\":1,\"shard\":\"1/2\"}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if label, found, err := CheckpointShard(bare); err != nil || !found || label != "1/2" {
+		t.Errorf("bare header: CheckpointShard = %q, %v, %v; want \"1/2\", true, nil", label, found, err)
+	}
+	if _, found, err := CheckpointShard(filepath.Join(dir, "missing")); err != nil || found {
+		t.Errorf("missing file: found = %v, err = %v; want false, nil", found, err)
+	}
+}

@@ -3,12 +3,12 @@ package crawler
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"piileak/internal/browser"
 	"piileak/internal/mailbox"
 	"piileak/internal/obs"
 	"piileak/internal/resilience"
-	"piileak/internal/site"
 	"piileak/internal/webgen"
 )
 
@@ -40,21 +40,19 @@ type SiteResult struct {
 // worker holds its finished site until emit returns, so a bounded
 // consumer bounds the number of captures in flight. An emit error stops
 // the crawl. Sites already in the checkpoint are emitted without
-// re-crawling, in site order relative to each other, as the walk
-// reaches them.
+// re-crawling by the worker that claims them.
 //
 // The site population comes from Options.Source (or the ecosystem's
-// universe). The engine walks the source by index and materializes
-// exactly one site per step — the serial loop directly, the parallel
-// path in the feeding goroutine — so peak site memory is the sites
-// held by the workers plus the one being fed, never the source's
-// length. The materialization count lands in the universe-materialized
-// gauge: for a shard worker over a lazy universe it reads the shard's
-// size.
+// universe). Each worker claims the next unclaimed index from one
+// shared counter and materializes that site itself (Source.At is safe
+// for concurrent use), so every index is materialized exactly once and
+// peak site memory is one site per worker, never the source's length.
+// The materialization count lands in the universe-materialized gauge:
+// for a shard worker over a lazy universe it reads the shard's size.
 //
-// Cancellation is crash-only: a done ctx stops the loop before the next
-// site with ctx's error, and a site mid-crawl when cancellation lands
-// is dropped on the floor, never checkpointed or emitted — the
+// Cancellation is crash-only: a done ctx stops each worker before its
+// next site with ctx's error, and a site mid-crawl when cancellation
+// lands is dropped on the floor, never checkpointed or emitted — the
 // checkpoint then holds exactly a prefix of the uninterrupted run,
 // which is what makes resume byte-identical.
 func CrawlStream(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, opts Options, emit func(SiteResult) error) error {
@@ -62,7 +60,7 @@ func CrawlStream(ctx context.Context, eco *webgen.Ecosystem, profile browser.Pro
 		ctx = context.Background()
 	}
 	src := opts.source(eco)
-	workers := opts.Workers
+	n := src.Len()
 	o := opts.Obs
 
 	var ckpt *Checkpoint
@@ -81,18 +79,33 @@ func CrawlStream(ctx context.Context, eco *webgen.Ecosystem, profile browser.Pro
 		}
 	}
 
-	var materialized int64
-	defer func() { o.GaugeMax(obs.MetricUniverseMaterialized, materialized) }()
+	// next is the next unclaimed site index. A worker claims only after
+	// checking that the run goes on, so every claimed index below n is
+	// materialized and the gauge is min(next, n).
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+	)
+	defer func() { o.GaugeMax(obs.MetricUniverseMaterialized, min(next.Load(), int64(n))) }()
 
-	if workers <= 1 {
+	// crawlSites is the per-site loop every worker runs: claim, At,
+	// checkpoint lookup, crawl, Append, note, emit, Reset. It returns nil
+	// when the source is exhausted or another worker failed.
+	crawlSites := func() error {
 		b := browser.New(profile, eco.Zone)
 		b.Ctx = ctx
 		b.Obs = o
-		for i := 0; i < src.Len(); i++ {
+		for {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			materialized++
+			if failed.Load() {
+				return nil
+			}
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return nil
+			}
 			s := src.At(i)
 			if e, ok := ckpt.lookup(s.Domain); ok {
 				e.Index = i
@@ -123,122 +136,35 @@ func CrawlStream(ctx context.Context, eco *webgen.Ecosystem, profile browser.Pro
 			}
 			b.Reset()
 		}
-		if ckpt != nil {
-			return ckpt.Close()
+	}
+
+	var err error
+	if workers := min(opts.Workers, n); workers <= 1 {
+		err = crawlSites()
+	} else {
+		var (
+			wg      sync.WaitGroup
+			errOnce sync.Once
+		)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if werr := crawlSites(); werr != nil {
+					errOnce.Do(func() { err = werr })
+					failed.Store(true)
+				}
+			}()
 		}
-		return nil
+		wg.Wait()
 	}
-
-	if workers > src.Len() {
-		workers = src.Len()
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	stop := make(chan struct{})
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			close(stop)
-		})
-	}
-	next := make(chan feedItem)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			b := browser.New(profile, eco.Zone)
-			b.Ctx = ctx
-			b.Obs = o
-			for it := range next {
-				sp := o.StartSpan(obs.StageCrawl, it.site.Domain, it.index)
-				rt := newFaultTransport(ctx, eco, opts)
-				e := siteResultFor(b, eco, it.site, rt, opts.Quarantine)
-				e.Index = it.index
-				if err := ctx.Err(); err != nil {
-					// Drop the in-flight entry; the checkpoint keeps
-					// only sites finished before cancellation.
-					fail(err)
-					return
-				}
-				if ckpt != nil {
-					if err := ckpt.Append(e); err != nil {
-						fail(err)
-						return
-					}
-					o.Count(obs.MetricCheckpointAppends, 1)
-				}
-				noteCrawledSite(o, sp, rt, &e)
-				if err := emit(e); err != nil {
-					fail(err)
-					return
-				}
-				b.Reset()
-			}
-		}()
-	}
-	feedSites(ctx, src, ckpt, o, next, stop, fail, emit, &materialized)
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
+	if err != nil {
+		return err
 	}
 	if ckpt != nil {
 		return ckpt.Close()
 	}
 	return nil
-}
-
-// feedItem is one site handed to the worker pool: the feeder is the
-// single point that materializes sites from the source, so workers
-// receive the already-derived pointer instead of re-deriving it.
-type feedItem struct {
-	index int
-	site  *site.Site
-}
-
-// feedSites walks the source in index order, materializing one site at
-// a time: checkpointed sites are emitted directly (in site order
-// relative to each other, concurrently with worker emissions), the rest
-// stream to the pool. The walk stops when a worker fails or the run is
-// cancelled, then closes the feed channel.
-func feedSites(ctx context.Context, src site.Source, ckpt *Checkpoint, o *obs.Run, next chan<- feedItem, stop <-chan struct{}, fail func(error), emit func(SiteResult) error, materialized *int64) {
-feed:
-	for i := 0; i < src.Len(); i++ {
-		select {
-		case <-stop:
-			break feed
-		case <-ctx.Done():
-			fail(ctx.Err())
-			break feed
-		default:
-		}
-		*materialized++
-		s := src.At(i)
-		if e, ok := ckpt.lookup(s.Domain); ok {
-			e.Index = i
-			noteResumedSite(o, &e)
-			if err := emit(e); err != nil {
-				fail(err)
-				break feed
-			}
-			continue
-		}
-		select {
-		case next <- feedItem{index: i, site: s}:
-		case <-stop:
-			break feed
-		case <-ctx.Done():
-			fail(ctx.Err())
-			break feed
-		}
-	}
-	close(next)
 }
 
 // noteCrawledSite closes a site's crawl span and folds its outcome into

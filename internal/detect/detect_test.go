@@ -477,36 +477,6 @@ func TestUnescapeIntoMatchesStdlib(t *testing.T) {
 	}
 }
 
-// TestAuthorityKey pins the memo key derivation against url.Parse's
-// authority delimiting.
-func TestAuthorityKey(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{"https://a.b/c?d=1#e", "a.b"},
-		{"https://a.b:8443/c", "a.b:8443"},
-		{"https://u@a.b/c", "u@a.b"},
-		{"https://a.b", "a.b"},
-		{"https://a.b?x=1", "a.b"},
-		{"https://a.b#f", "a.b"},
-		{"/relative/path", "/relative/path"},
-		{"mailto:a@b", "mailto:a@b"},
-		{"a?b://c", "a?b://c"},     // invalid scheme: self-keyed
-		{"a b://c/d", "a b://c/d"}, // invalid scheme: self-keyed
-		// Escapes outside the query and control bytes decide parse
-		// success, so those URLs are self-keyed; query escapes are not
-		// validated by url.Parse, so they still share the authority key.
-		{"https://a.b/p%zz/x", "https://a.b/p%zz/x"},
-		{"https://a.b/u%40h/x", "https://a.b/u%40h/x"},
-		{"https://a.b/c#f%zz", "https://a.b/c#f%zz"},
-		{"https://a.b/c\x7f", "https://a.b/c\x7f"},
-		{"https://a.b/c?e=%40", "a.b"},
-	}
-	for _, tc := range cases {
-		if got := authorityKey(tc.in); got != tc.want {
-			t.Errorf("authorityKey(%q) = %q, want %q", tc.in, got, tc.want)
-		}
-	}
-}
-
 // TestFloatRenderable pins the compile-time JSON-number shape check that
 // keeps the default persona's tokens (postal codes, phone numbers, birth
 // dates) on the fast path.

@@ -96,86 +96,19 @@ func (s *Scanner) beginSite(siteDomain string) {
 // receiverFor memoizes receiver classification by the URL's authority
 // substring: every URL sharing an authority parses to the same host, so
 // one url.Parse + PSL walk serves all requests to that endpoint within
-// a site. URLs whose authority cannot be delimited syntactically fall
-// back to the full URL as key (always sound, never shared).
+// a site. URLs without a syntactically delimited authority
+// (httpmodel.AuthorityKey's ok false) are classified unmemoized.
 func (s *Scanner) receiverFor(r *httpmodel.Request) (string, bool) {
-	k := authorityKey(r.URL)
+	k, ok := httpmodel.AuthorityKey(r.URL)
+	if !ok {
+		return core.ReceiverOf(s.eng.list, s.eng.cname, s.curSite, r.Host())
+	}
 	if e, ok := s.hostRecv[k]; ok {
 		return e.receiver, e.cloaked
 	}
 	recv, cloaked := core.ReceiverOf(s.eng.list, s.eng.cname, s.curSite, r.Host())
 	s.hostRecv[k] = recvEntry{receiver: recv, cloaked: cloaked}
 	return recv, cloaked
-}
-
-// authorityKey extracts the authority component the way url.Parse
-// delimits it: fragment cut at the first '#', query at the first '?',
-// authority after "://" up to the next '/'. The scheme must be valid for
-// "://" to act as the authority marker; otherwise the whole URL is the
-// key, which memoizes that exact URL only.
-//
-// The key must never equate two URLs whose Host() differs. Host() is ""
-// whenever url.Parse fails, and parse success can hinge on parts outside
-// the authority: an invalid escape in the path, userinfo, or fragment
-// (query escapes are not validated at parse time), or a control byte
-// anywhere. So any URL with '%' outside its query or a control byte is
-// self-keyed — same string, same Host(), always sound — at the cost of a
-// memo miss for that record.
-func authorityKey(rawurl string) string {
-	s := rawurl
-	if i := strings.IndexByte(s, '#'); i >= 0 {
-		if strings.IndexByte(s[i+1:], '%') >= 0 {
-			return rawurl
-		}
-		s = s[:i]
-	}
-	if i := strings.IndexByte(s, '?'); i >= 0 {
-		s = s[:i]
-	}
-	if strings.IndexByte(s, '%') >= 0 || hasCTL(rawurl) {
-		return rawurl
-	}
-	i := strings.Index(s, "://")
-	if i < 0 || !validScheme(s[:i]) {
-		return rawurl
-	}
-	rest := s[i+3:]
-	if j := strings.IndexByte(rest, '/'); j >= 0 {
-		return rest[:j]
-	}
-	return rest
-}
-
-// hasCTL reports whether s contains a byte url.Parse rejects outright
-// (ASCII control characters, including DEL).
-func hasCTL(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] < ' ' || s[i] == 0x7f {
-			return true
-		}
-	}
-	return false
-}
-
-// validScheme mirrors net/url's scheme grammar: ALPHA *(ALPHA / DIGIT /
-// "+" / "-" / ".").
-func validScheme(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z':
-		case '0' <= c && c <= '9' || c == '+' || c == '-' || c == '.':
-			if i == 0 {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return true
 }
 
 // mightLeak is the zero-allocation prefilter: it probes each channel's

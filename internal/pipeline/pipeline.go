@@ -2,10 +2,10 @@
 // one streaming pass. Crawl workers emit per-site captures into a
 // bounded channel; detect workers scan each capture as it arrives and
 // release the records immediately afterwards (keeping only the reduced
-// request index the §7.2 blocklist evaluation needs); a single
-// accumulation goroutine hands each site's SiteOut to the study's one
-// Fold, which folds the leaks into the shared Result store — the §4.2
-// analysis indexes, the §5 tracking index and the §6 policy-audit
+// request index the §7.2 blocklist evaluation needs), then hand the
+// site's SiteOut to the study's one Fold under the single lock that
+// owns it. The Fold folds the leaks into the shared Result store — the
+// §4.2 analysis indexes, the §5 tracking index and the §6 policy-audit
 // sender set — in one pass. The sharded runtime's merge runs the same
 // Fold over the shards' SiteOuts. Peak memory is bounded by the number
 // of captures in flight (crawl workers + channel buffer + detect
@@ -24,6 +24,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"piileak/internal/browser"
 	"piileak/internal/core"
@@ -71,9 +72,9 @@ type Options struct {
 	Sink func(SiteOut)
 }
 
-// captureBuffer is the capacity of the crawl→detect and
-// detect→accumulate channels. With the worker counts it bounds the
-// captures in flight: crawl workers + captureBuffer + detect workers.
+// captureBuffer is the capacity of the crawl→detect channel. With the
+// worker counts it bounds the captures in flight: crawl workers +
+// captureBuffer + detect workers.
 // Two lets a finished crawl hand off while every detect worker is
 // busy, without letting captures pile up.
 const captureBuffer = 2
@@ -282,9 +283,11 @@ func detectGuarded(det Detector, out *SiteOut, eco *webgen.Ecosystem, copts craw
 }
 
 // Run executes the fused crawl+detect+accumulate pipeline and returns
-// the shared result store. Cancelling ctx stops the crawl stage (the
+// the shared result store. The crawl runs on the calling goroutine (its
+// workers, when Workers > 1, on their own); detect workers fold their
+// sites as they finish. Cancelling ctx stops the crawl stage (the
 // site in flight is discarded, exactly as in crawler.CrawlStream); the
-// detect and accumulate stages drain what was already captured before
+// detect workers drain what was already captured before
 // Run returns ctx's error, so a checkpointed run is left resumable. A
 // panicking detector does not kill the run: the site is marked
 // OutcomeCrashed, quarantined (opts.Quarantine), and skipped. opts.Obs
@@ -307,7 +310,7 @@ func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, de
 
 	var (
 		progressMu sync.Mutex
-		crawled    int
+		crawled    atomic.Int64
 	)
 	emitEvent := func(ev Event) {
 		if opts.Progress == nil {
@@ -320,34 +323,32 @@ func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, de
 
 	var g obs.Watermark
 	captures := make(chan crawler.SiteResult, captureBuffer)
-	outputs := make(chan SiteOut, captureBuffer)
-
-	// Stage 1: crawl. Emissions block on the captures channel, which is
-	// the backpressure that bounds the pipeline's in-flight state. The
-	// crawl gets the resolved source so it and the accumulator agree on
-	// the population.
 	copts := opts.Options
 	copts.Source = src
-	var crawlErr error
-	go func() {
-		defer close(captures)
-		crawlErr = crawler.CrawlStream(ctx, eco, profile, copts, func(r crawler.SiteResult) error {
-			g.Inc()
-			captures <- r
-			progressMu.Lock()
-			crawled++
-			n := crawled
-			progressMu.Unlock()
-			if opts.Progress != nil {
-				emitEvent(Event{Stage: "crawl", Done: n, Total: total, Site: r.Crawl.Domain, Outcome: string(r.Crawl.Outcome)})
-			}
-			return nil
-		})
-	}()
 
-	// Stage 2: detect. Each worker scans a capture's records and then
-	// releases them (unless KeepRecords), reducing leaky sites to the
-	// request index first.
+	// Accumulate: each detect worker folds its finished site under the
+	// one lock that owns the fold, in completion order.
+	var foldMu sync.Mutex
+	fold := NewFold(eco, profile, total)
+	accumulate := func(out SiteOut) {
+		foldMu.Lock()
+		defer foldMu.Unlock()
+		ap := o.StartSpan(obs.StageAccumulate, out.Crawl.Domain, out.Index)
+		fold.Add(out)
+		if out.released() {
+			o.Count(obs.MetricReleased, 1)
+		}
+		o.Count(obs.MetricDetectSites, 1)
+		o.Count(obs.MetricDetectLeaks, int64(len(out.Leaks)))
+		o.Observe(obs.HistSiteLeaks, int64(len(out.Leaks)))
+		ap.SetN(len(out.Leaks))
+		ap.End()
+		emitEvent(Event{Stage: "detect", Done: fold.stats.Sites, Total: total, Site: out.Crawl.Domain, Leaks: fold.stats.Leaks})
+	}
+
+	// Detect: each worker scans a capture's records and then releases
+	// them (unless KeepRecords), reducing leaky sites to the request
+	// index first.
 	var wg sync.WaitGroup
 	for w := 0; w < detectWorkers; w++ {
 		wg.Add(1)
@@ -376,31 +377,25 @@ func Run(ctx context.Context, eco *webgen.Ecosystem, profile browser.Profile, de
 				g.Dec()
 				sp.SetN(len(out.Leaks))
 				sp.End()
-				outputs <- out
+				accumulate(out)
 			}
 		}()
 	}
-	go func() {
-		wg.Wait()
-		close(outputs)
-	}()
 
-	// Stage 3: accumulate — the single goroutine (this one) that owns
-	// the fold; it adds sites in completion order.
-	fold := NewFold(eco, profile, total)
-	for out := range outputs {
-		ap := o.StartSpan(obs.StageAccumulate, out.Crawl.Domain, out.Index)
-		fold.Add(out)
-		if out.released() {
-			o.Count(obs.MetricReleased, 1)
+	// Crawl, on this goroutine. Emissions block on the captures
+	// channel, which is the backpressure that bounds the pipeline's
+	// in-flight state. The crawl gets the resolved source so it and the
+	// fold agree on the population.
+	crawlErr := crawler.CrawlStream(ctx, eco, profile, copts, func(r crawler.SiteResult) error {
+		g.Inc()
+		captures <- r
+		if opts.Progress != nil {
+			emitEvent(Event{Stage: "crawl", Done: int(crawled.Add(1)), Total: total, Site: r.Crawl.Domain, Outcome: string(r.Crawl.Outcome)})
 		}
-		o.Count(obs.MetricDetectSites, 1)
-		o.Count(obs.MetricDetectLeaks, int64(len(out.Leaks)))
-		o.Observe(obs.HistSiteLeaks, int64(len(out.Leaks)))
-		ap.SetN(len(out.Leaks))
-		ap.End()
-		emitEvent(Event{Stage: "detect", Done: fold.stats.Sites, Total: total, Site: out.Crawl.Domain, Leaks: fold.stats.Leaks})
-	}
+		return nil
+	})
+	close(captures)
+	wg.Wait()
 	if crawlErr != nil {
 		return nil, crawlErr
 	}
